@@ -4,7 +4,10 @@ Measures the partitioned IVF index against the brute-force oracle on
 gaussian-mixture corpora (the shape two-tower item embeddings take):
 
 * recall@k vs ``nprobe`` curves, per corpus size;
-* build and incremental-insert throughput;
+* build throughput, append-only insert throughput (``insert``: new
+  vectors go to their nearest partition; ``splits`` counts any local
+  partition split the batch triggered) and the explicit full retrain
+  (``repartition``) as a separate arm;
 * single-query top-k latency (p50/p99) for both indexes, and the
   brute-vs-IVF speedup at the *serving* ``nprobe`` — the smallest probe
   count on the curve whose recall clears the floor.
@@ -179,10 +182,20 @@ def _bench_size(n, config, seed):
     extra = _mixture(
         rng, config["insert_batch"], dim, config["clusters"], config["spread"]
     )
+    splits_before = ivf.repartitions
     start = time.perf_counter()
     ivf.add(extra)
     insert_seconds = time.perf_counter() - start
+    splits = ivf.repartitions - splits_before
     assert len(ivf) == n + config["insert_batch"]
+
+    start = time.perf_counter()
+    ivf.repartition()
+    repartition_seconds = time.perf_counter() - start
+    print(
+        f"[mips-bench]   insert {config['insert_batch'] / insert_seconds:,.0f}"
+        f" vectors/s ({splits} splits); repartition {repartition_seconds:.2f}s"
+    )
 
     return {
         "n": int(n),
@@ -200,6 +213,12 @@ def _bench_size(n, config, seed):
             "vectors_per_second": float(
                 config["insert_batch"] / insert_seconds
             ),
+            "splits": int(splits),
+        },
+        "repartition": {
+            "vectors": int(len(ivf)),
+            "seconds": float(repartition_seconds),
+            "vectors_per_second": float(len(ivf) / repartition_seconds),
         },
         "recall_curve": curve,
         "latency": {

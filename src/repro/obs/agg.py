@@ -59,7 +59,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.alerts import Alert
 from repro.obs.context import get_shard_label
@@ -103,6 +103,8 @@ class TelemetryShipper:
     (one clock read) and is pumped from the request-observer hook
     (:meth:`on_request`), so shipping rides the serving request stream;
     callers must :meth:`flush` once at shutdown to ship the final state.
+    The first :meth:`maybe_flush` always ships.  ``clock`` (default
+    ``time.monotonic``) times the flush interval; tests inject a fake.
     """
 
     def __init__(
@@ -114,6 +116,7 @@ class TelemetryShipper:
         monitor: Optional[QualityMonitor] = None,
         slo: Optional[SLOTracker] = None,
         tracer: Optional[Tracer] = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError(
@@ -130,8 +133,9 @@ class TelemetryShipper:
         self._monitor = monitor
         self._slo = slo
         self._tracer = tracer
+        self._clock = clock
         self._seq = 0
-        self._last_flush = 0.0  # monotonic; 0 → never flushed
+        self._last_flush: Optional[float] = None  # None → never flushed
 
     # ------------------------------------------------------------------
     def _sources(
@@ -189,7 +193,7 @@ class TelemetryShipper:
         payload = "".join(json.dumps(record) + "\n" for record in frame)
         with open(self.spool_path, "a", encoding="utf-8") as handle:
             handle.write(payload)
-        self._last_flush = time.monotonic()
+        self._last_flush = self._clock()
         registry, _, _, _ = self._sources()
         if registry is not None:
             registry.counter("shipper.flushes").inc()
@@ -201,8 +205,11 @@ class TelemetryShipper:
     def maybe_flush(self, now: Optional[float] = None) -> bool:
         """Flush when the interval elapsed; returns whether it did."""
         if now is None:
-            now = time.monotonic()
-        if now - self._last_flush < self.interval_seconds:
+            now = self._clock()
+        if (
+            self._last_flush is not None
+            and now - self._last_flush < self.interval_seconds
+        ):
             return False
         self.flush()
         return True

@@ -18,12 +18,20 @@ Design points that matter for the serving engine:
 * **In-place updates** — :meth:`update` rewrites rows by id; a vector
   whose nearest centroid changed migrates partitions (swap-with-last
   removal + append), so dirty-slot refreshes keep the index honest.
-* **Amortised re-partitioning** — inserts skew partition sizes over
-  time; when the largest partition exceeds ``imbalance_factor`` times
-  the mean occupancy the index retrains its quantizer and reassigns
-  everything (the "background" maintenance pass — it runs synchronously
-  here but off the query path, and emits ``index.repartitions`` so
-  flight-recorder postmortems can name it).
+* **Local splits** — inserts skew partition sizes over time; when the
+  largest partition exceeds ``imbalance_factor`` times the mean
+  occupancy, :meth:`add` runs 2-means on that one partition, appends one
+  centroid and moves the rows nearer to it.  The cost is bounded by the
+  partition's size, not by the corpus, so inserts never retrain the
+  quantizer.  Each split emits ``index.repartitions`` and an
+  ``index.repartition`` span so flight-recorder postmortems can name it.
+  Splits raise the live partition count above ``nlist``; the probe count
+  scales with it (see :meth:`probe_count`), so ``nprobe >= nlist``
+  stays exact.
+* **Explicit retrain** — :meth:`repartition` retrains the quantizer on
+  the live corpus and reassigns everything, back to ``nlist``
+  partitions.  Nothing calls it implicitly: it is for callers whose
+  embedding geometry moved wholesale, e.g. after swapping the model.
 * **Cold behaviour** — below ``train_floor`` points the index keeps a
   single partition and is exactly brute force; the first build that
   crosses the floor trains the quantizer.
@@ -63,13 +71,14 @@ class IVFIndex(MIPSIndex):
     nlist:
         Number of partitions the trained quantizer maintains.
     nprobe:
-        Partitions scored per query (clamped to the live partition
-        count; ``nprobe >= nlist`` makes the search exact).
+        Partitions scored per query out of ``nlist``; scaled up as
+        splits add partitions (:meth:`probe_count`) and clamped to the
+        live count, so ``nprobe >= nlist`` makes the search exact.
     dtype:
         Storage dtype; defaults to the engine's configurable default.
     imbalance_factor:
-        Re-partition when ``max(partition size) > factor * mean size``.
-        ``None`` disables automatic maintenance (call
+        Split the largest partition when ``max(partition size) > factor
+        * mean size``.  ``None`` disables automatic maintenance (call
         :meth:`repartition` yourself).
     train_floor:
         Train the quantizer once at least this many vectors exist
@@ -118,8 +127,8 @@ class IVFIndex(MIPSIndex):
         self.train_sample = int(train_sample)
         self.kmeans_iterations = int(kmeans_iterations)
         self._rng = np.random.default_rng(seed)
+        # Maintenance passes run so far: splits plus explicit retrains.
         self.repartitions = 0
-        self._repartitioned_at = 0
         self._reset_storage(n_parts=1)
         # Untrained: one catch-all partition, exact search.
         self._centroids: Optional[np.ndarray] = None
@@ -205,7 +214,7 @@ class IVFIndex(MIPSIndex):
         # so assignment is one matmul per batch.
         self._neg_half_sq = -0.5 * (self._centroids ** 2).sum(axis=1)
 
-    def _train_quantizer(self, vectors: np.ndarray) -> np.ndarray:
+    def _train_quantizer(self, vectors: np.ndarray, k: int) -> np.ndarray:
         sample = vectors
         if vectors.shape[0] > self.train_sample:
             rows = self._rng.choice(
@@ -214,7 +223,7 @@ class IVFIndex(MIPSIndex):
             sample = vectors[rows]
         result = kmeans(
             sample,
-            k=min(self.nlist, sample.shape[0]),
+            k=min(k, sample.shape[0]),
             rng=self._rng,
             max_iterations=self.kmeans_iterations,
         )
@@ -237,7 +246,7 @@ class IVFIndex(MIPSIndex):
         vectors = self._coerce_vectors(vectors)
         with maybe_span("index.build"):
             if vectors.shape[0] >= max(self.train_floor, self.nlist):
-                self._set_centroids(self._train_quantizer(vectors))
+                self._set_centroids(self._train_quantizer(vectors, self.nlist))
             else:
                 self._centroids = None
                 self._neg_half_sq = None
@@ -294,7 +303,7 @@ class IVFIndex(MIPSIndex):
         if registry is not None:
             registry.counter("index.inserts").inc(vectors.shape[0])
         self._maybe_train()
-        self._maybe_repartition()
+        self._maybe_split()
         return ids
 
     def update(self, ids: np.ndarray, vectors: np.ndarray) -> None:
@@ -313,12 +322,16 @@ class IVFIndex(MIPSIndex):
             current = self._id_part[ids]
             stay_rows = np.flatnonzero(targets == current)
             # In-place overwrite for rows that keep their partition,
-            # grouped so each partition gets one fancy-indexed write.
-            for part in np.unique(current[stay_rows]):
-                rows = stay_rows[current[stay_rows] == part]
-                self._part_vectors[int(part)][self._id_pos[ids[rows]]] = (
-                    vectors[rows]
-                )
+            # grouped (one sort) so each partition gets one fancy-indexed
+            # write.
+            stay_rows = stay_rows[np.argsort(current[stay_rows], kind="stable")]
+            groups = np.flatnonzero(np.diff(current[stay_rows])) + 1
+            for rows in np.split(stay_rows, groups):
+                if rows.size:
+                    part = int(current[rows[0]])
+                    self._part_vectors[part][self._id_pos[ids[rows]]] = (
+                        vectors[rows]
+                    )
             # Migrate rows whose nearest centroid changed.
             for row in np.flatnonzero(targets != current):
                 self._remove_from_partition(int(ids[row]))
@@ -344,7 +357,7 @@ class IVFIndex(MIPSIndex):
     def _retrain(self) -> None:
         """Retrain the quantizer on the live corpus and relayout everything."""
         ids, vectors = self._gather_all()
-        self._set_centroids(self._train_quantizer(vectors))
+        self._set_centroids(self._train_quantizer(vectors, self.nlist))
         self._partition_all(vectors, ids)
 
     def _maybe_train(self) -> None:
@@ -361,39 +374,84 @@ class IVFIndex(MIPSIndex):
         mean = self._ntotal / self._part_sizes.size
         return float(self._part_sizes.max() / mean)
 
-    def _maybe_repartition(self) -> None:
-        if (
-            self.imbalance_factor is None
-            or not self.trained
-            or self._ntotal < max(self.train_floor, self.nlist)
-        ):
+    def _maybe_split(self) -> None:
+        """Split the largest partition while occupancy is out of bounds.
+
+        Every successful split leaves one more non-empty partition, so
+        the loop ends; a partition 2-means cannot separate (identical
+        vectors) ends it early.
+        """
+        if self.imbalance_factor is None or not self.trained:
             return
-        # Cooldown: if the last repartition could not flatten an
-        # intrinsically skewed distribution, don't thrash — wait for the
-        # corpus to grow ~10% before retrying.
-        if self._ntotal < int(self._repartitioned_at * 1.1):
-            return
-        if self.imbalance() > self.imbalance_factor:
-            self.repartition()
+        while self.imbalance() > self.imbalance_factor:
+            if not self._split(int(self._part_sizes.argmax())):
+                return
+
+    def _split(self, part: int) -> bool:
+        """2-means on one partition; a new partition takes one half.
+
+        Only that partition's rows are read, so the cost is bounded by
+        its size rather than by the corpus.  Returns whether any rows
+        moved.
+        """
+        with maybe_span("index.repartition"):
+            start = time.perf_counter()
+            size = int(self._part_sizes[part])
+            if size < 2:
+                return False
+            vectors = self._part_vectors[part][:size].copy()
+            ids = self._part_ids[part][:size].copy()
+            halves = self._train_quantizer(vectors, 2).astype(self.dtype)
+            bias = -0.5 * (halves ** 2).sum(axis=1)
+            moved = (vectors @ halves.T + bias).argmax(axis=1) == 1
+            if moved.all() or not moved.any():
+                return False
+            new = self._part_sizes.size
+            centroids = np.concatenate([self._centroids, halves[1:]])
+            centroids[part] = halves[0]
+            self._set_centroids(centroids)
+            self._part_vectors.append(np.empty((0, self.dim), dtype=self.dtype))
+            self._part_ids.append(np.empty(0, dtype=np.int64))
+            self._part_sizes = np.append(self._part_sizes, 0)
+            self._part_sizes[part] = 0
+            self._append_to_partition(part, ids[~moved], vectors[~moved])
+            self._append_to_partition(new, ids[moved], vectors[moved])
+            self.repartitions += 1
+        self._record_repartition(start)
+        return True
 
     def repartition(self) -> None:
         """Retrain the quantizer and reassign every stored vector.
 
-        Ids are preserved; only the physical partitioning changes.  This
-        is the maintenance pass the index schedules for itself when
-        inserts have skewed partition occupancy.
+        Ids are preserved; only the physical partitioning changes, back
+        to ``nlist`` partitions.  Inserts never call this (they split
+        locally); it is the explicit full retrain for callers whose
+        embeddings moved wholesale, e.g. after swapping the model.
         """
         with maybe_span("index.repartition"):
             start = time.perf_counter()
             self._retrain()
             self.repartitions += 1
-            self._repartitioned_at = self._ntotal
+        self._record_repartition(start)
+
+    @staticmethod
+    def _record_repartition(start: float) -> None:
         registry = get_active_registry()
         if registry is not None:
             registry.counter("index.repartitions").inc()
             registry.histogram("index.repartition_seconds").observe(
                 time.perf_counter() - start
             )
+
+    def probe_count(self) -> int:
+        """Partitions scored per query: ``nprobe`` scaled by splits.
+
+        A split turns one partition into two that hold its rows between
+        them, so probing ``ceil(nprobe * live / nlist)`` of the ``live``
+        partitions scans about the share ``nprobe`` asked for, and
+        ``nprobe >= nlist`` still probes every partition (exact search).
+        """
+        return -(-self.nprobe * self._part_sizes.size // self.nlist)
 
     # ------------------------------------------------------------------
     # Queries
@@ -420,10 +478,11 @@ class IVFIndex(MIPSIndex):
             else:
                 nonempty = np.flatnonzero(self._part_sizes > 0)
                 centroid_affinity = queries @ self._centroids[nonempty].T
+                nprobe = self.probe_count()
                 for row in range(queries.shape[0]):
                     probed = self._search_one(
-                        queries[row], k, nonempty, centroid_affinity[row],
-                        ids[row], scores[row],
+                        queries[row], k, nprobe, nonempty,
+                        centroid_affinity[row], ids[row], scores[row],
                     )
                     probed_total += probed
         registry = get_active_registry()
@@ -441,6 +500,7 @@ class IVFIndex(MIPSIndex):
         self,
         query: np.ndarray,
         k: int,
+        nprobe: int,
         nonempty: np.ndarray,
         centroid_affinity: np.ndarray,
         out_ids: np.ndarray,
@@ -448,12 +508,12 @@ class IVFIndex(MIPSIndex):
     ) -> int:
         """Probe partitions for one query; returns how many were probed.
 
-        Probes the ``nprobe`` partitions with the largest centroid inner
-        product, then widens until at least ``k`` candidates exist (so a
-        valid ``k`` always yields ``k`` results).
+        Probes the ``nprobe`` (:meth:`probe_count`) partitions with the
+        largest centroid inner product, then widens until at least ``k``
+        candidates exist (so a valid ``k`` always yields ``k`` results).
         """
         order = np.argsort(centroid_affinity)[::-1]
-        probe = min(self.nprobe, order.size)
+        probe = min(nprobe, order.size)
         while True:
             chosen = nonempty[order[:probe]]
             if self._part_sizes[chosen].sum() >= k or probe >= order.size:

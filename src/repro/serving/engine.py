@@ -239,6 +239,11 @@ class RealTimeEngine:
         statistics store standardises columns over all trafficked slots,
         incremental refreshes approximate untouched warm slots with their
         previous vectors; call ``refresh(full=True)`` for an exact pass.
+
+        Only the first call builds the MIPS index (training the IVF
+        quantizer); a later full pass rewrites every row of the live index
+        in place, so no refresh stalls on k-means.  After swapping the
+        model, call ``index.repartition()`` to retrain the quantizer.
         """
         with request_scope("refresh") as ctx:
             return self._refresh(ctx, full)
@@ -295,16 +300,20 @@ class RealTimeEngine:
                     item_vectors[stale]
                 )
                 self._scores = scores
-        # Index maintenance: a full pass rebuilds; a dirty-slot pass
-        # updates the touched rows in place (no rebuild, no global
-        # re-ranking) and the cached top-k order is dropped only when
-        # scores actually changed.
-        if full:
-            if self._index is None or self._index.dim != item_vectors.shape[1]:
-                self._index = self._make_index(
-                    item_vectors.shape[1], item_vectors.dtype
-                )
+        # Index maintenance: only the first build trains a quantizer.  A
+        # later full pass rewrites every row of the live index in place
+        # (encoders drift slowly, so rows rarely change partition), and a
+        # dirty-slot pass updates just the touched rows.  The cached
+        # top-k order is dropped only when scores actually changed.
+        if full and (
+            self._index is None or self._index.dim != item_vectors.shape[1]
+        ):
+            self._index = self._make_index(
+                item_vectors.shape[1], item_vectors.dtype
+            )
             self._index.rebuild(item_vectors)
+        elif full:
+            self._index.update(np.arange(n), item_vectors)
         elif stale.size:
             self._index.update(stale, item_vectors[stale])
         if full or stale.size:

@@ -4,6 +4,30 @@ import numpy as np
 import pytest
 
 from repro.core import ATNN, SegmentedPopularityPredictor, TowerConfig, kmeans
+from repro.core.clustering import _cluster_means, _kmeans_pp_init, _nearest
+
+
+def _loop_lloyd_step(points, centroids):
+    """Reference Lloyd step: explicit distances, one mask per cluster."""
+    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assignments = distances.argmin(axis=1)
+    means = centroids.copy()
+    for cluster in range(centroids.shape[0]):
+        members = points[assignments == cluster]
+        if members.size:
+            means[cluster] = members.mean(axis=0)
+    return assignments, means
+
+
+def _loop_kmeans(points, k, rng, max_iterations=100, tolerance=1e-6):
+    centroids = _kmeans_pp_init(points, k, rng)
+    for _ in range(max_iterations):
+        _, means = _loop_lloyd_step(points, centroids)
+        movement = float(np.abs(means - centroids).sum())
+        centroids = means
+        if movement < tolerance:
+            break
+    return _loop_lloyd_step(points, centroids)[0], centroids
 
 
 class TestKMeans:
@@ -74,6 +98,41 @@ class TestKMeans:
         a = kmeans(points, 3, rng=np.random.default_rng(7))
         b = kmeans(points, 3, rng=np.random.default_rng(7))
         np.testing.assert_allclose(a.centroids, b.centroids)
+
+
+class TestVectorisedLloyd:
+    """The affinity-form assignment and reduceat means match the loop."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(600, 7))
+        centroids = points[rng.choice(600, size=12, replace=False)].copy()
+        centroids[3] = 1e3  # far from every point: an empty cluster
+        assignments, _ = _nearest(points, centroids)
+        means = _cluster_means(points, assignments, centroids)
+        ref_assignments, ref_means = _loop_lloyd_step(points, centroids)
+        np.testing.assert_array_equal(assignments, ref_assignments)
+        np.testing.assert_allclose(means, ref_means, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(means[3], centroids[3])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(scale=4.0, size=(6, 5))
+        points = centres[rng.integers(0, 6, size=900)] + rng.normal(
+            size=(900, 5)
+        )
+        result = kmeans(points, 9, rng=np.random.default_rng(seed))
+        ref_assignments, ref_centroids = _loop_kmeans(
+            points, 9, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(result.assignments, ref_assignments)
+        np.testing.assert_allclose(
+            result.centroids, ref_centroids, rtol=0, atol=1e-10
+        )
+        ref_inertia = ((points - ref_centroids[ref_assignments]) ** 2).sum()
+        assert result.inertia == pytest.approx(ref_inertia, rel=1e-9)
 
 
 class TestSegmentedPredictor:

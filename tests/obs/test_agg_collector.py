@@ -100,6 +100,25 @@ class TestShipper:
         assert shipper.maybe_flush() is False  # interval not yet elapsed
         assert shipper.maybe_flush(time.monotonic() + 7200.0) is True
 
+    def test_first_maybe_flush_ships_on_a_freshly_booted_host(self, tmp_path):
+        """A monotonic clock that started seconds ago must not read as
+        "flushed recently": the first pump always ships."""
+        now = [5.0]  # seconds since boot
+        shipper = TelemetryShipper(
+            tmp_path,
+            process_label="w",
+            registry=MetricsRegistry(),
+            interval_seconds=3600.0,
+            clock=lambda: now[0],
+        )
+        assert shipper.maybe_flush() is True
+        now[0] += 3599.0
+        assert shipper.maybe_flush() is False
+        now[0] += 1.0
+        assert shipper.maybe_flush() is True
+        shipper.on_request(None)  # inside the interval: ships nothing
+        assert shipper.flush() == 3
+
     def test_rejects_nonpositive_interval(self, tmp_path):
         with pytest.raises(ValueError):
             TelemetryShipper(tmp_path, interval_seconds=0.0)

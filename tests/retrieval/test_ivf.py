@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.tracing import Tracer, use_tracer
 from repro.retrieval import BruteForceIndex, IVFIndex, recall_at_k
 
 
@@ -157,8 +158,33 @@ class TestIncrementalInserts:
         )
 
 
+def _contents(ivf, part):
+    return set(ivf._part_ids[part][: int(ivf._part_sizes[part])].tolist())
+
+
+def _assert_exact(ivf, rng, k=15, same_ids=True):
+    """Every stored id is present and nprobe = nlist search is exact.
+
+    ``same_ids=False`` compares only the top-k scores, for corpora with
+    duplicate vectors whose ids tie.
+    """
+    ids, vectors = ivf._gather_all()
+    np.testing.assert_array_equal(np.sort(ids), np.arange(ivf.ntotal))
+    brute = BruteForceIndex(ivf.dim)
+    brute.add(vectors[np.argsort(ids)])
+    queries = rng.normal(size=(4, ivf.dim))
+    for row in range(queries.shape[0]):
+        found, scores = ivf.search(queries[row], k)
+        expected, expected_scores = brute.search(queries[row], k)
+        np.testing.assert_allclose(scores, expected_scores)
+        if same_ids:
+            assert set(found) == set(expected)
+
+
 class TestRepartition:
     def test_imbalance_triggers_repartition(self, rng):
+        """An imbalanced insert splits partitions locally, and the index
+        stays complete and exact at nprobe = nlist."""
         ivf = IVFIndex(
             2, nlist=8, nprobe=8, imbalance_factor=2.0, train_floor=16, seed=0
         )
@@ -169,17 +195,103 @@ class TestRepartition:
         with use_registry(registry):
             ivf.add(corner)
         assert ivf.repartitions >= 1
-        assert registry.counter("index.repartitions").value >= 1
+        assert registry.counter("index.repartitions").value == ivf.repartitions
+        assert ivf.partition_sizes.size == 8 + ivf.repartitions
+        assert ivf.imbalance() <= 2.0
         # All 600 vectors still present and exactly retrievable.
         assert ivf.partition_sizes.sum() == 600
-        q = rng.normal(size=(3, 2))
-        brute = BruteForceIndex(2)
-        ids, vectors = ivf._gather_all()
-        brute.add(vectors[np.argsort(ids)])
-        for row in range(3):
-            assert set(ivf.search(q[row], 15)[0]) == set(
-                brute.search(q[row], 15)[0]
-            )
+        assert ivf.probe_count() == ivf.partition_sizes.size
+        _assert_exact(ivf, rng)
+
+    def test_corner_flood_splits_only_the_overfull_partition(self, rng):
+        ivf = IVFIndex(
+            2, nlist=8, nprobe=8, imbalance_factor=2.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(200, 2)))
+        corner = 0.01 * rng.normal(size=(400, 2)) + 50.0
+        flooded = np.unique(ivf._assign(corner))
+        assert flooded.size == 1  # the whole flood lands in one partition
+        others = [part for part in range(8) if part != flooded[0]]
+        contents = {part: _contents(ivf, part) for part in others}
+        centroids = ivf._centroids.copy()
+        ivf.add(corner)
+        assert ivf.repartitions >= 1
+        for part in others:
+            assert _contents(ivf, part) == contents[part]
+        np.testing.assert_array_equal(ivf._centroids[others], centroids[others])
+        # The flooded partition and the ones split off it hold exactly
+        # its old rows plus the flood.
+        split = [flooded[0], *range(8, ivf.partition_sizes.size)]
+        held = set().union(*(_contents(ivf, part) for part in split))
+        assert held == set(range(600)) - set().union(*contents.values())
+
+    def test_split_cost_is_bounded_by_the_partition(self, rng, monkeypatch):
+        """2-means sees only the overfull partition's rows, not the corpus."""
+        import repro.retrieval.ivf as ivf_module
+
+        ivf = IVFIndex(
+            2, nlist=8, nprobe=8, imbalance_factor=2.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(2_000, 2)))
+        seen = []
+        real_kmeans = ivf_module.kmeans
+
+        def spying_kmeans(points, k, **kwargs):
+            seen.append((points.shape[0], k))
+            return real_kmeans(points, k, **kwargs)
+
+        monkeypatch.setattr(ivf_module, "kmeans", spying_kmeans)
+        ivf.add(0.01 * rng.normal(size=(1_000, 2)) + 50.0)
+        assert seen and all(k == 2 for _, k in seen)
+        assert max(rows for rows, _ in seen) < 1_500 < ivf.ntotal
+
+    def test_identical_vectors_terminate_without_looping(self, rng):
+        """2-means cannot separate identical rows: the split gives up
+        instead of spinning, and later inserts stay cheap and correct."""
+        ivf = IVFIndex(
+            2, nlist=8, nprobe=8, imbalance_factor=2.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(200, 2)))
+        same = np.full((400, 2), 50.0)
+        ivf.add(same)
+        parts = ivf.partition_sizes.size
+        assert parts <= 9  # at most the split peeling the old rows away
+        stuck = int(ivf._id_part[200])
+        assert _contents(ivf, stuck) == set(range(200, 600))
+        assert ivf.imbalance() > 2.0
+        assert not ivf._split(stuck)
+        ivf.add(same[:10])
+        assert ivf.partition_sizes.size == parts
+        assert ivf.partition_sizes.sum() == 610
+        _assert_exact(ivf, rng, same_ids=False)
+
+    def test_split_emits_counter_histogram_and_span(self, rng):
+        ivf = IVFIndex(
+            2, nlist=8, nprobe=8, imbalance_factor=2.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(200, 2)))
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        with use_registry(registry), use_tracer(tracer):
+            ivf.add(0.01 * rng.normal(size=(400, 2)) + 50.0)
+        splits = ivf.repartitions
+        assert splits >= 1
+        assert registry.counter("index.repartitions").value == splits
+        assert registry.histogram("index.repartition_seconds").count == splits
+        assert tracer.stats("index.repartition").calls == splits
+
+    def test_probe_count_scales_with_splits(self, rng):
+        ivf = IVFIndex(
+            2, nlist=8, nprobe=2, imbalance_factor=2.0, train_floor=16, seed=0
+        )
+        ivf.rebuild(rng.normal(size=(200, 2)))
+        assert ivf.probe_count() == 2
+        ivf.add(0.01 * rng.normal(size=(400, 2)) + 50.0)
+        live = ivf.partition_sizes.size
+        assert live > 8
+        assert ivf.probe_count() == -(-2 * live // 8)
+        ivf.repartition()  # an explicit retrain returns to nlist
+        assert ivf.partition_sizes.size == 8 and ivf.probe_count() == 2
 
     def test_disabled_maintenance_never_repartitions(self, rng):
         ivf = IVFIndex(
