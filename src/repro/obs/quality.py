@@ -45,6 +45,7 @@ from repro.obs.drift import DriftDetector
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import get_active_registry
 from repro.obs.window import SlidingBlocks
+from repro.utils.buffers import grow_rows
 
 __all__ = [
     "StreamingAUC",
@@ -341,6 +342,15 @@ class ColdStartTracker:
     sampled when the engine re-encodes the slot at refresh.
     """
 
+    # Per-slot column -> (initial value, dtype).
+    _COLUMNS = {
+        "_release": (0.0, float),
+        "_first_impression": (np.nan, float),
+        "_impressions": (0, np.int64),
+        "_warm_at": (-1, np.int64),
+        "_last_divergence": (np.nan, float),
+    }
+
     def __init__(
         self,
         n_slots: int,
@@ -355,15 +365,39 @@ class ColdStartTracker:
             )
         self.n_slots = n_slots
         self.warm_view_threshold = warm_view_threshold
-        self._release = np.zeros(n_slots)
-        self._first_impression = np.full(n_slots, np.nan)
-        self._impressions = np.zeros(n_slots, dtype=np.int64)
-        self._warm_at = np.full(n_slots, -1, dtype=np.int64)
-        self._last_divergence = np.full(n_slots, np.nan)
+        # Per-slot columns live in capacity-doubling buffers (grow() is
+        # amortised O(new slots)); the attributes are [:n_slots] views
+        # that every update writes through in place.
+        self._buffers = {
+            name: np.full(n_slots, fill, dtype=dtype)
+            for name, (fill, dtype) in self._COLUMNS.items()
+        }
+        self._bind_views()
         self._divergence_samples: List[float] = []
         self._sample_capacity = sample_capacity
         self._sample_stride = 1
         self._since_kept = 0
+
+    def _bind_views(self) -> None:
+        for name, buf in self._buffers.items():
+            setattr(self, name, buf[: self.n_slots])
+
+    def grow(self, n_new: int) -> int:
+        """Extend tracking to ``n_new`` fresh slots; returns the new count.
+
+        Existing slots keep their lifecycle state (release and
+        first-impression times, impressions, warm crossing, divergence).
+        """
+        if n_new < 1:
+            raise ValueError(f"n_new must be >= 1, got {n_new}")
+        size = self.n_slots + n_new
+        for name, (fill, _) in self._COLUMNS.items():
+            buf = grow_rows(self._buffers[name], self.n_slots, size)
+            buf[self.n_slots : size] = fill
+            self._buffers[name] = buf
+        self.n_slots = size
+        self._bind_views()
+        return size
 
     # ------------------------------------------------------------------
     def note_release(self, slot: int, timestamp: float) -> None:
@@ -380,20 +414,19 @@ class ColdStartTracker:
         """Fold a batch of impressions (VIEW events) in, vectorised."""
         if item_ids.size == 0:
             return
-        counts = np.bincount(item_ids, minlength=self.n_slots)
-        updated = self._impressions + counts
-        crossed = (
-            (self._warm_at < 0)
-            & (updated >= self.warm_view_threshold)
-            & (counts > 0)
+        unique_items, first_positions, counts = np.unique(
+            item_ids, return_index=True, return_counts=True
         )
-        self._warm_at[crossed] = updated[crossed]
-        unique_items, first_positions = np.unique(item_ids, return_index=True)
+        updated = self._impressions[unique_items] + counts
+        crossed = (self._warm_at[unique_items] < 0) & (
+            updated >= self.warm_view_threshold
+        )
+        self._warm_at[unique_items[crossed]] = updated[crossed]
         fresh = np.isnan(self._first_impression[unique_items])
         self._first_impression[unique_items[fresh]] = timestamps[
             first_positions[fresh]
         ]
-        self._impressions = updated
+        self._impressions[unique_items] = updated
 
     def observe_divergence(
         self, slots: np.ndarray, divergences: np.ndarray
@@ -606,13 +639,19 @@ class QualityMonitor:
     def attach_catalogue(
         self, n_slots: int, warm_view_threshold: Optional[int] = None
     ) -> "QualityMonitor":
-        """Size the cold-start tracker for a catalogue (idempotent)."""
+        """Size the cold-start tracker for a catalogue (idempotent).
+
+        A grown catalogue grows the tracker, keeping every existing
+        slot's lifecycle state.
+        """
         if warm_view_threshold is not None:
             self.warm_view_threshold = warm_view_threshold
-        if self.cold_start is None or self.cold_start.n_slots < n_slots:
+        if self.cold_start is None:
             self.cold_start = ColdStartTracker(
                 n_slots, warm_view_threshold=self.warm_view_threshold
             )
+        elif self.cold_start.n_slots < n_slots:
+            self.cold_start.grow(n_slots - self.cold_start.n_slots)
         return self
 
     def watch_feature(self, name: str, **detector_kwargs) -> DriftDetector:

@@ -29,11 +29,9 @@ import numpy as np
 from repro.nn.tensor import get_default_dtype
 from repro.obs.metrics import get_active_registry
 from repro.obs.tracing import maybe_span
+from repro.utils.buffers import grow_rows
 
 __all__ = ["MIPSIndex", "BruteForceIndex", "recall_at_k"]
-
-# Freshly allocated index storage starts at this capacity and doubles.
-_MIN_CAPACITY = 64
 
 
 class MIPSIndex:
@@ -121,13 +119,6 @@ class MIPSIndex:
         return ids
 
 
-def _grown_capacity(current: int, needed: int) -> int:
-    capacity = max(current, _MIN_CAPACITY)
-    while capacity < needed:
-        capacity *= 2
-    return capacity
-
-
 def _top_k_desc(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries of a 1-D array, best first."""
     if k >= scores.size:
@@ -162,15 +153,7 @@ class BruteForceIndex(MIPSIndex):
         return view
 
     def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        if needed <= self._matrix.shape[0]:
-            return
-        grown = np.empty(
-            (_grown_capacity(self._matrix.shape[0], needed), self.dim),
-            dtype=self.dtype,
-        )
-        grown[: self._size] = self._matrix[: self._size]
-        self._matrix = grown
+        self._matrix = grow_rows(self._matrix, self._size, self._size + extra)
 
     def add(self, vectors: np.ndarray) -> np.ndarray:
         vectors = self._coerce_vectors(vectors)

@@ -52,11 +52,8 @@ import numpy as np
 from repro.core.clustering import kmeans
 from repro.obs.metrics import get_active_registry
 from repro.obs.tracing import maybe_span
-from repro.retrieval.index import (
-    MIPSIndex,
-    _grown_capacity,
-    _top_k_desc,
-)
+from repro.retrieval.index import MIPSIndex, _top_k_desc
+from repro.utils.buffers import grow_rows
 
 __all__ = ["IVFIndex"]
 
@@ -166,27 +163,14 @@ class IVFIndex(MIPSIndex):
 
     def _reserve_ids(self, extra: int) -> None:
         needed = self._ntotal + extra
-        if needed <= self._id_part.shape[0]:
-            return
-        capacity = _grown_capacity(self._id_part.shape[0], needed)
-        for name in ("_id_part", "_id_pos"):
-            grown = np.empty(capacity, dtype=np.int64)
-            old = getattr(self, name)
-            grown[: self._ntotal] = old[: self._ntotal]
-            setattr(self, name, grown)
+        self._id_part = grow_rows(self._id_part, self._ntotal, needed)
+        self._id_pos = grow_rows(self._id_pos, self._ntotal, needed)
 
     def _append_to_partition(self, part: int, ids, vectors) -> None:
         size = int(self._part_sizes[part])
-        needed = size + vectors.shape[0]
-        if needed > self._part_vectors[part].shape[0]:
-            capacity = _grown_capacity(self._part_vectors[part].shape[0], needed)
-            grown_vecs = np.empty((capacity, self.dim), dtype=self.dtype)
-            grown_vecs[:size] = self._part_vectors[part][:size]
-            self._part_vectors[part] = grown_vecs
-            grown_ids = np.empty(capacity, dtype=np.int64)
-            grown_ids[:size] = self._part_ids[part][:size]
-            self._part_ids[part] = grown_ids
         stop = size + vectors.shape[0]
+        self._part_vectors[part] = grow_rows(self._part_vectors[part], size, stop)
+        self._part_ids[part] = grow_rows(self._part_ids[part], size, stop)
         self._part_vectors[part][size:stop] = vectors
         self._part_ids[part][size:stop] = ids
         self._id_part[ids] = part

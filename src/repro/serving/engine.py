@@ -18,8 +18,9 @@ promotions.  :class:`RealTimeEngine` simulates that serving loop:
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +37,35 @@ from repro.obs.tracing import maybe_span
 from repro.retrieval import MIPSIndex, make_index
 from repro.serving.events import Event, event_columns
 from repro.serving.feature_store import ItemStatisticsStore
+from repro.utils.buffers import grow_rows
 
 __all__ = ["EngineConfig", "RealTimeEngine"]
+
+
+@contextmanager
+def _inference(model: ATNN) -> Iterator[None]:
+    """``no_grad`` with ``model`` in eval mode, restoring train mode after.
+
+    The mode switch walks the whole module tree, so it is skipped when
+    the model is already in eval mode (``ATNNTrainer.fit`` leaves it so).
+    """
+    training = model.training
+    if training:
+        model.eval()
+    try:
+        with no_grad():
+            yield
+    finally:
+        if training:
+            model.train(True)
+
+
+def _append_rows(buf: np.ndarray, size: int, rows: np.ndarray) -> np.ndarray:
+    """``buf`` (grown if full) with ``rows`` written after its first ``size``."""
+    stop = size + len(rows)
+    buf = grow_rows(buf, size, stop)
+    buf[size:stop] = rows
+    return buf
 
 
 @dataclass(frozen=True)
@@ -106,16 +134,31 @@ class RealTimeEngine:
         config: EngineConfig = EngineConfig(),
     ) -> None:
         self.model = model
+        # Catalogue columns live in capacity-doubling buffers and
+        # ``catalogue`` is a table of ``[:n]`` views over them.  The first
+        # buffers are the caller's own arrays at exactly their length, so
+        # the first arrival copies them and the engine never writes into
+        # the caller's arrays.
         self.catalogue = catalogue
+        self._columns: Dict[str, np.ndarray] = dict(catalogue.columns)
         self.config = config
         self.store = ItemStatisticsStore(len(catalogue))
         self.predictor = PopularityPredictor(model, batch_size=config.batch_size)
         self.predictor.fit_user_group(user_group)
+        # Handed to callers by scores()/last_scores: copy-on-write.
         self._scores: Optional[np.ndarray] = None
+        # Engine-private ``[:n]`` views of capacity-doubling buffers; the
+        # index copies rows on add/update, so refreshes write in place.
+        self._item_buf: Optional[np.ndarray] = None
         self._item_vectors: Optional[np.ndarray] = None
-        # Generator-path vectors depend only on the (static) catalogue
-        # profiles, so they are computed once and reused by every refresh.
+        # Generator-path vectors depend only on the (append-only)
+        # catalogue profiles and the model weights, so a full refresh
+        # reuses them while ``_generator_key`` -- the (id, version) of
+        # every parameter they were computed under -- still matches.
+        self._generator_buf: Optional[np.ndarray] = None
         self._generator_vectors: Optional[np.ndarray] = None
+        self._generator_params: List = []
+        self._generator_key: Optional[list] = None
         self._fresh = False
         self._dirty: set = set()
         # Cached top-k order: the best `_order_k` slots from the MIPS
@@ -189,13 +232,25 @@ class RealTimeEngine:
         features = self._profile_features(slots)
         for name in self.model.schema.numeric_names(GROUP_ITEM_STAT):
             features[name] = np.zeros(slots.size)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad(), maybe_span("generator"):
-                return self.model.generated_item_vectors(features).data
-        finally:
-            self.model.train(was_training)
+        with _inference(self.model), maybe_span("generator"):
+            return self.model.generated_item_vectors(features).data
+
+    def _refresh_generator_vectors(self, n: int) -> None:
+        """Recompute the generator vectors unless the weights are unchanged.
+
+        Every sanctioned weight write (optimizer steps, ``assign_``,
+        ``load_state_dict``, ``to_dtype``) bumps ``Tensor.version``, so
+        the same parameter objects at the same versions produce the same
+        vectors.  Holding the parameters keeps their ids from being reused.
+        """
+        params = self.model.parameters()
+        key = [(id(param), param.version) for param in params]
+        if key == self._generator_key:
+            return
+        self._generator_buf = self._generator_vectors_for(np.arange(n))
+        self._generator_vectors = self._generator_buf
+        self._generator_params = params
+        self._generator_key = key
 
     def _make_index(self, dim: int, dtype) -> MIPSIndex:
         return make_index(
@@ -240,10 +295,17 @@ class RealTimeEngine:
         incremental refreshes approximate untouched warm slots with their
         previous vectors; call ``refresh(full=True)`` for an exact pass.
 
+        A full pass re-standardises and re-encodes every warm slot and
+        re-scores the catalogue.  It runs the generator over the whole
+        catalogue only when the model's weights changed since the cached
+        generator vectors were computed (any optimizer step, ``assign_``,
+        ``load_state_dict`` or ``to_dtype``); otherwise it reuses them.
+
         Only the first call builds the MIPS index (training the IVF
-        quantizer); a later full pass rewrites every row of the live index
-        in place, so no refresh stalls on k-means.  After swapping the
-        model, call ``index.repartition()`` to retrain the quantizer.
+        quantizer); a later full pass writes just the index rows whose
+        vector changed, in place, so no refresh stalls on k-means.  After
+        swapping the model, call ``index.repartition()`` to retrain the
+        quantizer.
         """
         with request_scope("refresh") as ctx:
             return self._refresh(ctx, full)
@@ -253,43 +315,30 @@ class RealTimeEngine:
         n = len(self.catalogue)
         full = full or self._generator_vectors is None
 
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad(), maybe_span("engine.refresh"):
-                warm = self.store.warm_slots(self.config.warm_view_threshold)
-                if full:
-                    # Statistic columns default to zero (cold) ...
-                    self._generator_vectors = self._generator_vectors_for(
-                        np.arange(n)
-                    )
-                    item_vectors = self._generator_vectors.copy()
-                    stale = warm
-                else:
-                    warm_mask = np.zeros(n, dtype=bool)
-                    warm_mask[warm] = True
-                    stale = np.array(
-                        sorted(s for s in self._dirty if warm_mask[s]),
-                        dtype=np.int64,
-                    )
-                    # Copy-on-write: callers hold arrays returned by
-                    # earlier scores() calls, which must not change.
-                    item_vectors = (
-                        self._item_vectors.copy()
-                        if stale.size
-                        else self._item_vectors
-                    )
-                if stale.size:
-                    # ... and stale warm slots get live statistics +
-                    # encoder vectors.
-                    with maybe_span("encoder"):
-                        warm_features = self._profile_features(stale)
-                        warm_features.update(self.store.feature_columns(stale))
-                        item_vectors[stale] = self.model.encoded_item_vectors(
-                            warm_features
-                        ).data
-        finally:
-            self.model.train(was_training)
+        with _inference(self.model), maybe_span("engine.refresh"):
+            warm = self.store.warm_slots(self.config.warm_view_threshold)
+            if full:
+                # Statistic columns default to zero (cold) ...
+                self._refresh_generator_vectors(n)
+                item_vectors = self._generator_vectors.copy()
+                stale = warm
+            else:
+                warm_mask = np.zeros(n, dtype=bool)
+                warm_mask[warm] = True
+                stale = np.array(
+                    sorted(s for s in self._dirty if warm_mask[s]),
+                    dtype=np.int64,
+                )
+                item_vectors = self._item_vectors
+            if stale.size:
+                # ... and stale warm slots get live statistics + encoder
+                # vectors.
+                with maybe_span("encoder"):
+                    warm_features = self._profile_features(stale)
+                    warm_features.update(self.store.feature_columns(stale))
+                    item_vectors[stale] = self.model.encoded_item_vectors(
+                        warm_features
+                    ).data
 
         with maybe_span("engine.score"):
             if full:
@@ -300,11 +349,26 @@ class RealTimeEngine:
                     item_vectors[stale]
                 )
                 self._scores = scores
+        if full:
+            # The index rows equal the previous ``_item_vectors``, so only
+            # rows whose vector changed need writing, to both.
+            previous = self._item_vectors
+            if (
+                previous is not None
+                and previous.shape == item_vectors.shape
+                and previous.dtype == item_vectors.dtype
+            ):
+                changed = np.flatnonzero(
+                    np.any(item_vectors != previous, axis=1)
+                )
+                previous[changed] = item_vectors[changed]
+            else:
+                changed = np.arange(n)
+                self._item_buf = self._item_vectors = item_vectors
         # Index maintenance: only the first build trains a quantizer.  A
-        # later full pass rewrites every row of the live index in place
-        # (encoders drift slowly, so rows rarely change partition), and a
-        # dirty-slot pass updates just the touched rows.  The cached
-        # top-k order is dropped only when scores actually changed.
+        # later full pass rewrites just the changed rows of the live index
+        # in place, and a dirty-slot pass just the touched rows.  The
+        # cached top-k order is dropped only when scores actually changed.
         if full and (
             self._index is None or self._index.dim != item_vectors.shape[1]
         ):
@@ -312,14 +376,13 @@ class RealTimeEngine:
                 item_vectors.shape[1], item_vectors.dtype
             )
             self._index.rebuild(item_vectors)
-        elif full:
-            self._index.update(np.arange(n), item_vectors)
-        elif stale.size:
+        elif full and changed.size:
+            self._index.update(changed, item_vectors[changed])
+        elif not full and stale.size:
             self._index.update(stale, item_vectors[stale])
         if full or stale.size:
             self._order = None
             self._order_k = 0
-        self._item_vectors = item_vectors
         self._dirty.clear()
         self._fresh = True
         self._refreshes += 1
@@ -412,6 +475,14 @@ class RealTimeEngine:
 
         ``arrivals`` must carry every item-profile column; statistic
         columns are ignored (new items are cold by definition).
+
+        The work is proportional to the batch, not the catalogue:
+        profiles, generator and item vectors and store counters append
+        into capacity-doubling buffers (amortised O(batch)), and
+        ``catalogue`` is rebuilt as a table of views in O(columns).  Only
+        the score vector is copied, because earlier ``scores()`` results
+        must not change.  A :class:`FeatureTable` taken from ``catalogue``
+        before the call keeps its rows and length.
         """
         with request_scope("add_arrivals") as ctx:
             n_new = len(arrivals)
@@ -424,28 +495,28 @@ class RealTimeEngine:
             if missing:
                 raise KeyError(f"missing item profile columns: {missing}")
             start_slot = len(self.catalogue)
-            merged = {}
-            for name, column in self.catalogue.columns.items():
-                extra = (
-                    np.asarray(arrivals[name])
-                    if name in arrivals
-                    else np.zeros(n_new, dtype=column.dtype)
-                )
-                merged[name] = np.concatenate(
-                    [column, extra.astype(column.dtype, copy=False)]
-                )
-            self.catalogue = FeatureTable(merged)
+            stop = start_slot + n_new
+            for name, buf in self._columns.items():
+                if name in arrivals:
+                    buf = _append_rows(buf, start_slot, np.asarray(arrivals[name]))
+                else:
+                    # Grown buffers start zeroed: the column reads zero.
+                    buf = grow_rows(buf, start_slot, stop)
+                self._columns[name] = buf
+            self.catalogue = FeatureTable(
+                {name: buf[:stop] for name, buf in self._columns.items()}
+            )
             self.store.grow(n_new)
-            slots = np.arange(start_slot, start_slot + n_new)
+            slots = np.arange(start_slot, stop)
             if self._generator_vectors is not None:
                 # Live engine: score + index the new slots right away.
                 vectors = self._generator_vectors_for(slots)
-                self._generator_vectors = np.concatenate(
-                    [self._generator_vectors, vectors]
+                self._generator_buf = _append_rows(
+                    self._generator_buf, start_slot, vectors
                 )
-                self._item_vectors = np.concatenate(
-                    [self._item_vectors, vectors]
-                )
+                self._generator_vectors = self._generator_buf[:stop]
+                self._item_buf = _append_rows(self._item_buf, start_slot, vectors)
+                self._item_vectors = self._item_buf[:stop]
                 self._scores = np.concatenate(
                     [
                         self._scores,
@@ -495,18 +566,10 @@ class RealTimeEngine:
             missing = [name for name in names if name not in user_features]
             if missing:
                 raise KeyError(f"missing user features: {missing}")
-            was_training = self.model.training
-            self.model.eval()
-            try:
-                with no_grad(), maybe_span("user_tower"):
-                    user_vector = self.model.user_vectors(
-                        {
-                            name: np.asarray(user_features[name])[:1]
-                            for name in names
-                        }
-                    ).data[0]
-            finally:
-                self.model.train(was_training)
+            with _inference(self.model), maybe_span("user_tower"):
+                user_vector = self.model.user_vectors(
+                    {name: np.asarray(user_features[name])[:1] for name in names}
+                ).data[0]
             head = self.model.scoring_head
             if not 1 <= k <= len(self._index):
                 raise ValueError(

@@ -214,11 +214,7 @@ def join_outcome_columns(
     stride = int(max(users_v.max(), users[click_mask].max())) + 2
     view_keys = items_v * stride + (users_v + 1)
     click_keys = items[click_mask] * stride + (users[click_mask] + 1)
-    # Bounded key spans take numpy's O(range) table path, ~10x faster
-    # than the sort-based default at serving batch sizes.
-    span = (int(items.max()) + 1) * stride
-    kind = "table" if span <= (1 << 24) else None
-    clicked = np.isin(view_keys, click_keys, kind=kind)
+    clicked = np.isin(view_keys, click_keys)
     return items_v, users_v, ts_v, clicked
 
 

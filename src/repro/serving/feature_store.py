@@ -22,6 +22,7 @@ from repro.serving.events import (
     EventKind,
     event_columns,
 )
+from repro.utils.buffers import grow_rows
 
 __all__ = ["ItemCounters", "ItemStatisticsStore"]
 
@@ -88,8 +89,13 @@ class ItemStatisticsStore:
             raise ValueError(f"n_slots must be positive, got {n_slots}")
         self.n_slots = n_slots
         # One row per event kind (KIND_CODES order), one column per slot.
-        self._counts = np.zeros((len(EventKind.ALL), n_slots), dtype=np.int64)
-        self._unique_users = np.zeros(n_slots, dtype=np.int64)
+        # Both live in capacity-doubling buffers; ``_counts`` and
+        # ``_unique_users`` are ``[:n_slots]`` views that ingest updates
+        # in place.
+        self._counts_buf = np.zeros((len(EventKind.ALL), n_slots), dtype=np.int64)
+        self._users_buf = np.zeros(n_slots, dtype=np.int64)
+        self._counts = self._counts_buf
+        self._unique_users = self._users_buf
         self._seen_pairs = np.empty(0, dtype=np.int64)  # sorted packed keys
 
     def grow(self, n_new: int) -> int:
@@ -97,17 +103,19 @@ class ItemStatisticsStore:
 
         Supports the engine's new-arrival path: freshly added catalogue
         slots start cold (all counters zero) and warm up through normal
-        ingestion.  Returns the new slot count.
+        ingestion.  Appends into spare buffer capacity, so the cost is
+        amortised O(``n_new``).  Returns the new slot count.
         """
         if n_new < 1:
             raise ValueError(f"n_new must be >= 1, got {n_new}")
-        self._counts = np.hstack(
-            [self._counts, np.zeros((self._counts.shape[0], n_new), dtype=np.int64)]
-        )
-        self._unique_users = np.concatenate(
-            [self._unique_users, np.zeros(n_new, dtype=np.int64)]
-        )
-        self.n_slots += n_new
+        size = self.n_slots + n_new
+        # Grown buffers are zero-initialised and slots past n_slots are
+        # never written, so the new slots start with zero counters.
+        self._counts_buf = grow_rows(self._counts_buf, self.n_slots, size, axis=1)
+        self._users_buf = grow_rows(self._users_buf, self.n_slots, size)
+        self._counts = self._counts_buf[:, :size]
+        self._unique_users = self._users_buf[:size]
+        self.n_slots = size
         return self.n_slots
 
     # ------------------------------------------------------------------

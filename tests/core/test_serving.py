@@ -242,13 +242,21 @@ class TestIncrementalRefresh:
         second = engine.scores()
         np.testing.assert_allclose(second, cold)
 
-    def test_full_refresh_reuses_cached_generator_vectors(self, engine):
+    def test_unchanged_model_full_refresh_skips_the_generator(
+        self, engine, monkeypatch
+    ):
         engine.refresh()
         first_generator = engine._generator_vectors
+        expected = first_generator.copy()
+        calls = []
+        monkeypatch.setattr(
+            engine, "_generator_vectors_for", lambda slots: calls.append(slots)
+        )
         engine.refresh(full=True)
-        # Recomputed (same values) but the cache slot stays populated.
-        assert engine._generator_vectors is not None
-        np.testing.assert_allclose(engine._generator_vectors, first_generator)
+        # Same weights, same profiles: the cached vectors are reused as is.
+        assert calls == []
+        assert engine._generator_vectors is first_generator
+        np.testing.assert_array_equal(engine._generator_vectors, expected)
 
 
 class TestTopKCache:

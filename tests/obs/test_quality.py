@@ -173,6 +173,30 @@ class TestColdStartTracker:
         stats = tracker.summary()["vector_divergence"]
         assert stats["max"] == pytest.approx(0.3)
 
+    def test_grow_keeps_lifecycle_state(self):
+        tracker = ColdStartTracker(3, warm_view_threshold=2)
+        tracker.note_release(0, 1.0)
+        tracker.observe_impressions(np.array([0, 0, 2]), np.array([4.0, 5.0, 6.0]))
+        tracker.observe_divergence(np.array([0]), np.array([0.25]))
+        before = tracker.summary()
+        for n_new in (1, 70, 200):  # outgrows the first buffer twice
+            tracker.grow(n_new)
+        after = tracker.summary()
+        assert after["n_slots"] == 274
+        for key in ("items_seen", "warm_items", "time_to_first_impression",
+                    "impressions_until_warm", "vector_divergence_current_mean"):
+            assert after[key] == before[key]
+        # New slots start cold and unseen, and track like the old ones.
+        assert not np.any(tracker.cold_mask(np.array([0])))
+        assert np.all(tracker.cold_mask(np.arange(3, 274)))
+        tracker.observe_impressions(np.array([273, 273]), np.array([9.0, 9.5]))
+        assert tracker.items_seen == 3
+        assert tracker.warm_items == 2
+
+    def test_grow_validation(self):
+        with pytest.raises(ValueError):
+            ColdStartTracker(3).grow(0)
+
 
 class TestQualityMonitor:
     def _batch(self, item, user, t, clicked):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import ATNN, TowerConfig
-from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+from repro.obs import (
+    MetricsRegistry,
+    QualityMonitor,
+    Tracer,
+    use_monitor,
+    use_registry,
+    use_tracer,
+)
 from repro.serving import (
     EngineConfig,
     Event,
@@ -89,6 +96,33 @@ class TestEngineCounters:
         engine.ingest(_views(0, 3))
         scores = engine.scores()
         assert scores.shape == (len(engine.catalogue),)
+
+
+class TestColdStartTelemetry:
+    def test_arrivals_keep_cold_start_lifecycle(self, engine, tiny_tmall_world):
+        """Growing the catalogue grows the monitor's cold-start tracker
+        instead of replacing it (which wiped every slot's lifecycle)."""
+        names = tiny_tmall_world.schema.all_column_names("item_profile")
+        arrivals = type(tiny_tmall_world.new_items)(
+            {name: tiny_tmall_world.items[name][:3] for name in names}
+        )
+        monitor = QualityMonitor(warm_view_threshold=5)
+        with use_monitor(monitor):
+            engine.refresh()
+            engine.ingest(
+                [Event(EventKind.VIEW, 0, 1, 3.0), Event(EventKind.VIEW, 2, 1, 8.0)]
+            )
+            tracker = monitor.cold_start
+            before = tracker.summary()
+            engine.add_arrivals(arrivals)
+        after = monitor.cold_start.summary()
+        assert monitor.cold_start is tracker
+        assert after["n_slots"] == before["n_slots"] + 3
+        assert after["items_seen"] == before["items_seen"] == 2
+        assert (
+            after["time_to_first_impression"]
+            == before["time_to_first_impression"]
+        )
 
 
 class TestStoreThroughput:

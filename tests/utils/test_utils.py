@@ -1,4 +1,5 @@
-"""Utility module tests: rng, tables, timer, serialization, validation."""
+"""Utility module tests: rng, tables, timer, serialization, validation,
+growable buffers."""
 
 import json
 import time
@@ -20,6 +21,7 @@ from repro.utils import (
     spawn,
     time_callable,
 )
+from repro.utils.buffers import grow_rows
 from repro.utils.validation import (
     as_1d_float,
     as_1d_int,
@@ -200,3 +202,26 @@ class TestValidation:
             as_1d_int([1.5], "x")
         with pytest.raises(ValueError):
             as_1d_int([[1]], "x")
+
+
+class TestGrowRows:
+    def test_room_left_returns_the_same_buffer(self):
+        buf = np.arange(10)
+        assert grow_rows(buf, 4, 10) is buf
+
+    def test_grows_by_doubling_and_keeps_live_rows(self):
+        buf = np.arange(160).reshape(80, 2)
+        grown = grow_rows(buf, 30, 81)
+        assert grown.shape == (160, 2) and grown.dtype == buf.dtype
+        np.testing.assert_array_equal(grown[:30], buf[:30])
+        np.testing.assert_array_equal(grown[30:], 0)
+
+    def test_small_buffers_start_at_the_minimum_capacity(self):
+        assert grow_rows(np.zeros(0), 0, 3).shape == (64,)
+
+    def test_grows_along_a_later_axis(self):
+        buf = np.ones((3, 5), dtype=np.int64)
+        grown = grow_rows(buf, 5, 70, axis=1)
+        assert grown.shape == (3, 128)
+        np.testing.assert_array_equal(grown[:, :5], 1)
+        np.testing.assert_array_equal(grown[:, 5:], 0)
