@@ -3,19 +3,18 @@
 Measures the sparse-gradient fast path against the legacy dense path on an
 embedding-heavy train step (large id vocabularies, batch 512) inside one
 process, plus the float32 compute mode, the runtime sanitizer's
-on-vs-off overhead and the serving engine's incremental refresh.  Round 2
-adds the fused-kernel arms (graph-level ``fuse()`` substitution), the
-buffer-arena arm, and the multi-process data-parallel trainer arm.  Emits
-a JSON report consumed by the CI smoke job and per-op breakdowns (dense
-vs sparse vs fused) via the ``repro.obs`` autograd profiler.
+on-vs-off overhead, the serving engine's incremental refresh and the
+multi-process data-parallel trainer.  Every arm runs the fused layers
+(``FeatureEmbeddings`` is one fused embedding-bag node).  Emits a JSON
+report consumed by the CI smoke job and per-op breakdowns (dense vs
+sparse) via the ``repro.obs`` autograd profiler.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/autograd_suite.py --preset smoke
 
-The regression check compares *speedup ratios* (sparse vs dense, fused vs
-unfused, arena on vs off, N workers vs one — each measured inside the
-same run) rather than absolute wall-time, so a committed baseline remains
+The regression check compares *speedup ratios* (sparse vs dense, N
+workers vs one — each measured inside the same run) rather than absolute wall-time, so a committed baseline remains
 meaningful across machines.  The parallel-scaling gate additionally
 requires enough CPUs to host the workers; on a one-core runner the arm
 still executes (correctness + overhead) but its ratio is informational::
@@ -36,8 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.nn import Tensor, default_dtype, use_sparse_grads
-from repro.nn.arena import BufferArena, use_arena
-from repro.nn.fusion import fuse, fusion_hits, reset_fusion_hits
 from repro.nn.layers.embedding import FeatureEmbeddings
 from repro.nn.layers.linear import Linear
 from repro.nn.losses import binary_cross_entropy_with_logits
@@ -124,10 +121,7 @@ def _timed_steps(model, optimizer, batches, labels):
     return times
 
 
-def _run_variant(
-    preset, sparse, dtype, profile=False, seed=0, sanitize=None,
-    fused=False, arena=False,
-):
+def _run_variant(preset, sparse, dtype, profile=False, seed=0, sanitize=None):
     """Time the embedding-heavy train step for one engine configuration.
 
     ``sanitize`` arms the runtime sanitizer around the measured steps:
@@ -135,10 +129,7 @@ def _run_variant(
     ``"deep"`` additionally fingerprints every saved buffer
     (``check_content=True``).  ``None`` — the default, and the
     configuration every regression gate measures — runs the unpatched
-    engine.  ``fused`` runs the graph-level ``fuse()`` substitution pass
-    over the model before training; ``arena`` installs a
-    :class:`~repro.nn.arena.BufferArena` so backward and optimizer
-    scratch is pooled across steps.
+    engine.
     """
     config = PRESETS[preset]
     rng = np.random.default_rng(seed)
@@ -154,10 +145,6 @@ def _run_variant(
             config["vocab_sizes"], config["embedding_dims"], rng
         )
         model.to_dtype(dtype)
-        fusion_report = None
-        if fused:
-            reset_fusion_hits()
-            fusion_report = fuse(model)
         optimizer = Adam(model.parameters(), lr=1e-3)
         labels = (rng.random(config["batch_size"]) < 0.3).astype(float)
         batches = [
@@ -165,8 +152,7 @@ def _run_variant(
             for _ in range(config["warmup_steps"] + config["steps"])
         ]
         profiler = AutogradProfiler() if profile else None
-        arena_pool = BufferArena() if arena else None
-        with use_sparse_grads(sparse), use_arena(arena_pool):
+        with use_sparse_grads(sparse):
             _timed_steps(model, optimizer, batches[: config["warmup_steps"]], labels)
             if profiler is not None:
                 profiler.enable()
@@ -181,7 +167,7 @@ def _run_variant(
                     sanitizer.disable()
                 if profiler is not None:
                     profiler.disable()
-    result = {
+    return {
         "seconds_per_step": float(np.mean(times)),
         "seconds_per_step_median": float(np.median(times)),
         "seconds_per_step_std": float(np.std(times)),
@@ -189,14 +175,6 @@ def _run_variant(
         "per_op": list(profiler.iter_records()) if profiler else None,
         "breakdown_text": profiler.to_text() if profiler else None,
     }
-    if fused:
-        result["fusion"] = {
-            "modules_replaced": fusion_report.num_replaced,
-            "hits": fusion_hits(),
-        }
-    if arena:
-        result["arena"] = arena_pool.stats()
-    return result
 
 
 def _check_parity(preset):
@@ -218,30 +196,6 @@ def _check_parity(preset):
 
     for sparse_grad, dense_grad in zip(grads(True), grads(False)):
         np.testing.assert_allclose(sparse_grad, dense_grad, rtol=1e-10, atol=1e-12)
-    return True
-
-
-def _check_parity_fused(preset):
-    """Fused and unfused graphs must produce matching gradients (float64)."""
-    config = PRESETS[preset]
-    rng = np.random.default_rng(1)
-    batch = _make_batch(config["vocab_sizes"], config["batch_size"], rng)
-    labels = (rng.random(config["batch_size"]) < 0.3).astype(float)
-
-    def grads(fused):
-        model = _EmbeddingHeavyModel(
-            config["vocab_sizes"], config["embedding_dims"],
-            np.random.default_rng(2),
-        )
-        if fused:
-            fuse(model)
-        with use_sparse_grads(False):
-            loss = binary_cross_entropy_with_logits(model(batch), labels)
-            loss.backward()
-        return [np.asarray(p.grad) for p in model.parameters()]
-
-    for fused_grad, plain_grad in zip(grads(True), grads(False)):
-        np.testing.assert_allclose(fused_grad, plain_grad, rtol=1e-10, atol=1e-12)
     return True
 
 
@@ -342,8 +296,6 @@ def run_suite(preset: str) -> dict:
 
     print("[autograd-suite] parity: sparse vs dense gradients (float64) ...")
     parity = _check_parity(preset)
-    print("[autograd-suite] parity: fused vs unfused gradients (float64) ...")
-    fused_parity = _check_parity_fused(preset)
 
     print("[autograd-suite] dense float64 (legacy path) ...")
     dense_f64 = _run_variant(preset, sparse=False, dtype=np.float64, profile=True)  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
@@ -354,22 +306,6 @@ def run_suite(preset: str) -> dict:
     print("[autograd-suite] sparse float32 ...")
     sparse_f32 = _run_variant(preset, sparse=True, dtype=np.float32)
     print(f"  {sparse_f32['seconds_per_step'] * 1e3:.2f} ms/step")
-    print("[autograd-suite] sparse float32 + fused kernels ...")
-    fused_f32 = _run_variant(preset, sparse=True, dtype=np.float32, fused=True)
-    print(f"  {fused_f32['seconds_per_step'] * 1e3:.2f} ms/step "
-          f"(fusion hits: {fused_f32['fusion']['hits']})")
-    print("[autograd-suite] sparse float32 + fused kernels + arena ...")
-    fused_arena_f32 = _run_variant(
-        preset, sparse=True, dtype=np.float32, fused=True, arena=True
-    )
-    print(f"  {fused_arena_f32['seconds_per_step'] * 1e3:.2f} ms/step "
-          f"(arena reuses: {fused_arena_f32['arena']['reuses']})")
-    # One profiled fused run for the per-op breakdown artifact only — the
-    # profiler's wrappers perturb timing, so the gated arms above run
-    # unpatched.
-    fused_profiled = _run_variant(
-        preset, sparse=True, dtype=np.float32, fused=True, profile=True
-    )
 
     # Sanitizer overhead: the "off" row is the sparse float64 measurement
     # above (the unpatched engine the regression gate scores), so arming
@@ -405,31 +341,15 @@ def run_suite(preset: str) -> dict:
         "config": {k: config[k] for k in
                    ("vocab_sizes", "embedding_dims", "batch_size", "steps")},
         "gradcheck_parity": parity,
-        "gradcheck_parity_fused": fused_parity,
         "train_step": {
             "dense_f64": {k: dense_f64[k] for k in timing_keys},
             "sparse_f64": {k: sparse_f64[k] for k in timing_keys},
             "sparse_f32": {k: sparse_f32[k] for k in timing_keys},
-            "fused_f32": {k: fused_f32[k] for k in timing_keys},
-            "fused_arena_f32": {k: fused_arena_f32[k] for k in timing_keys},
             "speedup_sparse_vs_dense": speedup,
             "speedup_f32_vs_f64": (
                 sparse_f64["seconds_per_step"] / sparse_f32["seconds_per_step"]
             ),
-            # Medians, not means: the fused/arena deltas are a few hundred
-            # microseconds, where one scheduler hiccup in a 30-step run
-            # visibly skews a mean.
-            "speedup_fused_vs_unfused": (
-                sparse_f32["seconds_per_step_median"]
-                / fused_f32["seconds_per_step_median"]
-            ),
-            "speedup_fused_arena_vs_unfused": (
-                sparse_f32["seconds_per_step_median"]
-                / fused_arena_f32["seconds_per_step_median"]
-            ),
         },
-        "fusion": fused_f32["fusion"],
-        "arena": fused_arena_f32["arena"],
         "parallel": parallel,
         "sanitizer": {
             "off": {k: sparse_f64[k] for k in
@@ -451,19 +371,13 @@ def run_suite(preset: str) -> dict:
         "per_op": {
             "dense_f64": dense_f64["per_op"],
             "sparse_f64": sparse_f64["per_op"],
-            "fused_f32": fused_profiled["per_op"],
         },
         "serving_refresh": engine,
     }
     print(f"[autograd-suite] sparse-vs-dense speedup: {speedup:.2f}x")
-    print(f"[autograd-suite] fused-vs-unfused speedup: "
-          f"{report['train_step']['speedup_fused_vs_unfused']:.2f}x "
-          f"(+arena: "
-          f"{report['train_step']['speedup_fused_arena_vs_unfused']:.2f}x)")
     breakdowns = {
         "dense_f64": dense_f64["breakdown_text"],
         "sparse_f64": sparse_f64["breakdown_text"],
-        "fused_f32": fused_profiled["breakdown_text"],
     }
     return report, breakdowns
 
@@ -471,20 +385,16 @@ def run_suite(preset: str) -> dict:
 def check_regression(report: dict, baseline_path: Path, max_regression: float) -> bool:
     """True when no measured speedup ratio has collapsed vs the baseline.
 
-    Compares dimensionless in-run ratios (sparse vs dense, fused vs
-    unfused, fused+arena vs unfused, N-worker vs 1-worker scaling) so the
-    check is stable across machines of different absolute speed.  Ratios
+    Compares dimensionless in-run ratios (sparse vs dense, N-worker vs
+    1-worker scaling) so the check is stable across machines of different
+    absolute speed.  Ratios
     the baseline file predates are skipped with a note.  The parallel
     scaling gate only applies when both the baseline and the current run
     had at least as many CPUs as workers — on an oversubscribed runner
     the ratio measures the scheduler, not the trainer.
     """
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    gates = [
-        ("speedup_sparse_vs_dense", "sparse-vs-dense"),
-        ("speedup_fused_vs_unfused", "fused-vs-unfused"),
-        ("speedup_fused_arena_vs_unfused", "fused+arena-vs-unfused"),
-    ]
+    gates = [("speedup_sparse_vs_dense", "sparse-vs-dense")]
     passed = True
     for key, label in gates:
         reference = baseline["train_step"].get(key)
@@ -525,9 +435,6 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
             print(f"[autograd-suite] regression check [parallel x{workers}]: "
                   f"measured {measured:.2f}x (floor {floor:.2f}x) {verdict}")
             passed = passed and measured >= floor
-    if not report.get("gradcheck_parity_fused", False):
-        print("[autograd-suite] FAIL: fused gradcheck parity did not hold")
-        passed = False
     return passed
 
 
@@ -570,10 +477,7 @@ def main(argv=None) -> int:
             "dense (legacy np.add.at) embedding-heavy train step\n"
             f"{breakdowns['dense_f64']}\n\n"
             "sparse (SparseGrad fast path) embedding-heavy train step\n"
-            f"{breakdowns['sparse_f64']}\n\n"
-            "fused (embedding-bag + BCE kernels, float32) embedding-heavy "
-            "train step\n"
-            f"{breakdowns['fused_f32']}\n"
+            f"{breakdowns['sparse_f64']}\n"
         )
         path = RESULTS_DIR / "autograd_sparse_op_breakdown.txt"
         path.write_text(breakdown, encoding="utf-8")

@@ -21,7 +21,6 @@ __all__ = [
     "DenseScatterAddRule",
     "SparseGradDuckTypingRule",
     "GlobalRngRule",
-    "BackwardAllocationRule",
     "default_rules",
 ]
 
@@ -254,59 +253,6 @@ class GlobalRngRule(LintRule):
             )
 
 
-class BackwardAllocationRule(LintRule):
-    """ATN006: no fresh numpy allocations inside backward closures.
-
-    Backward closures run once per parameter per step; a ``np.zeros`` /
-    ``np.empty`` / ``np.copy`` (or ``*_like``) there allocates a
-    gradient-sized buffer on *every* step, which is exactly the traffic
-    the :class:`repro.nn.arena.BufferArena` exists to recycle.  Engine
-    backward code must rent scratch via ``arena_empty`` /
-    ``arena_zeros`` (they fall back to fresh numpy allocation when no
-    arena is active).  Scoped to ``repro/nn/``; suppressions require a
-    reason, e.g. the legacy dense embedding fallback whose table-sized
-    buffer should never be pooled.
-    """
-
-    code = "ATN006"
-    name = "backward-allocation"
-    description = "fresh numpy allocation inside a backward closure"
-
-    _SCOPE = ("repro/nn/",)
-    _FLAGGED = ("zeros", "zeros_like", "empty", "empty_like", "copy")
-
-    def applies_to(self, relpath: str) -> bool:
-        return _matches_path(relpath, self._SCOPE)
-
-    def run(self, tree: ast.AST, relpath: str) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.FunctionDef) and node.name == "backward"
-            ):
-                continue
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Call):
-                    continue
-                allocator = next(
-                    (
-                        name
-                        for name in self._FLAGGED
-                        if _is_np_attr(inner.func, name)
-                    ),
-                    None,
-                )
-                if allocator is None:
-                    continue
-                yield Finding(
-                    self.code,
-                    inner.lineno,
-                    inner.col_offset,
-                    f"np.{allocator} inside a backward closure allocates a "
-                    "fresh buffer every step; rent scratch from the buffer "
-                    "arena instead (repro.nn.arena.arena_empty/arena_zeros)",
-                )
-
-
 def default_rules() -> List[LintRule]:
     """The rule set ``python -m repro.analysis lint`` runs."""
     return [
@@ -315,5 +261,4 @@ def default_rules() -> List[LintRule]:
         DenseScatterAddRule(),
         SparseGradDuckTypingRule(),
         GlobalRngRule(),
-        BackwardAllocationRule(),
     ]

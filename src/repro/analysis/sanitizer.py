@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
-from repro.nn.arena import get_active_arena
 from repro.nn.sparse import SparseGrad
 from repro.nn.tensor import Tensor, get_active_sanitizer, set_active_sanitizer
 from repro.obs.autograd import PROFILED_OPS
@@ -134,7 +133,6 @@ class GradSanitizer:
             "stale_buffers": 0,
             "unsanctioned_mutations": 0,
             "aliased_accumulations": 0,
-            "recycled_arena_buffers": 0,
             "nonfinite_ops": 0,
         }
         self._originals: List[Tuple[str, object]] = []
@@ -192,52 +190,27 @@ class GradSanitizer:
     # ------------------------------------------------------------------
     # Saved-buffer verification
     # ------------------------------------------------------------------
-    def _snapshot(self, out: Tensor) -> List[Tuple[Tensor, int, Optional[int], object, Optional[int]]]:
-        """Record (tensor, version, fingerprint, arena, generation) per saved buffer.
+    def _snapshot(self, out: Tensor) -> List[Tuple[Tensor, int, Optional[int]]]:
+        """Record (tensor, version, fingerprint) per saved buffer.
 
         Backward closures capture their parents' ``data`` and, for ops
         like ``exp``/``sigmoid``, the output's own ``data`` — both sets
-        must stay untouched until the gradient function runs.  When a
-        saved buffer is owned by the active :class:`~repro.nn.arena.
-        BufferArena`, its rental generation is recorded too: if the arena
-        advances (recycling the buffer) before the gradient runs, the
-        saved contents may have been clobbered by an unrelated rental.
+        must stay untouched until the gradient function runs.
         """
-        arena = get_active_arena()
         tracked = list(out._parents) + [out]
-        snapshot = []
-        for tensor in tracked:
-            fp = _fingerprint(tensor.data) if self.check_content else None
-            generation = (
-                arena.generation_of(tensor.data) if arena is not None else None
+        return [
+            (
+                tensor,
+                tensor._version,
+                _fingerprint(tensor.data) if self.check_content else None,
             )
-            snapshot.append((tensor, tensor._version, fp, arena, generation))
-        return snapshot
+            for tensor in tracked
+        ]
 
     def _verify(self, label: str, snapshot) -> None:
         self.stats["backward_checks"] += 1
-        for tensor, version, fp, arena, generation in snapshot:
+        for tensor, version, fp in snapshot:
             where = tensor.name or f"tensor(shape={tensor.shape})"
-            if generation is not None and (
-                arena.generation != generation
-                or arena.generation_of(tensor.data) != generation
-            ):
-                self._count("recycled_arena_buffers")
-                diagnostic = Diagnostic.make(
-                    "recycled-arena-buffer",
-                    ERROR,
-                    f"buffer saved for backward of op {label!r} was rented "
-                    f"from the arena in generation {generation}, but the "
-                    "arena has advanced — the storage may have been "
-                    "recycled into an unrelated rental (copy arena buffers "
-                    "before wrapping them in Tensors that outlive a step)",
-                    location=where,
-                    op=label,
-                    rented_generation=generation,
-                    current_generation=arena.generation,
-                )
-                self._record(diagnostic)
-                raise SanitizerError(diagnostic)
             if tensor._version != version:
                 self._count("stale_buffers")
                 diagnostic = Diagnostic.make(

@@ -142,16 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable structured logging to stderr at this level",
     )
     parser.add_argument(
-        "--fuse",
-        action="store_true",
-        help=(
-            "apply the kernel-fusion pass to every trained model: "
-            "Linear→ReLU stacks and DCN cross layers run as single fused "
-            "autograd ops (see docs/performance.md); fusion coverage is "
-            "reported via the autograd.fusion_hits counter"
-        ),
-    )
-    parser.add_argument(
         "--n-workers",
         type=int,
         default=0,
@@ -184,13 +174,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.n_workers < 0:
         print(f"error: --n-workers must be >= 0, got {args.n_workers}", file=sys.stderr)
         return 2
-    if args.fuse or args.n_workers:
-        # Experiments build their trainers internally; route the knobs
+    if args.n_workers:
+        # Experiments build their trainers internally; route the knob
         # through the ambient trainer defaults.
         from repro.core.trainer import set_trainer_defaults
 
         set_trainer_defaults(
-            fuse=args.fuse,
             n_workers=args.n_workers,
             worker_spool_dir=(
                 str(args.spool_dir) if args.spool_dir is not None else None

@@ -36,13 +36,19 @@ class RetrievalTrainer(_BaseTrainer):
     temperature:
         Softmax temperature of the in-batch objective.
     (plus the shared knobs of the base trainer: epochs, batch_size, lr,
-    grad_clip, seed, verbose.)
+    grad_clip, seed, verbose, callbacks, dtype.  Training is in-process
+    only: ``n_workers >= 1`` is rejected.)
     """
 
     def __init__(self, temperature: float = 0.2, **kwargs) -> None:
         super().__init__(**kwargs)
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
+        if self.n_workers:
+            raise ValueError(
+                "RetrievalTrainer trains in-process only; "
+                f"got n_workers={self.n_workers}"
+            )
         self.temperature = temperature
 
     def fit(
@@ -87,41 +93,49 @@ class RetrievalTrainer(_BaseTrainer):
             frequencies = counts[positive_items] / positive_items.size
             log_probabilities = np.log(frequencies)
 
-        optimizer = Adam(model.parameters(), lr=self.lr)
         rng = np.random.default_rng(self.seed)
         history = TrainingHistory()
-        model.train()
-        order = np.arange(len(positives))
-        for epoch in range(self.epochs):
-            rng.shuffle(order)
-            losses: List[float] = []
-            for start in range(0, len(order), self.batch_size):
-                rows = order[start : start + self.batch_size]
-                if rows.size < 2:
-                    continue
-                features = {
-                    name: col[rows] for name, col in positives.features.items()
-                }
-                user_vectors = model.user_vectors(features)
-                item_vectors = model.item_vectors(features)
-                loss = in_batch_softmax_loss(
-                    user_vectors,
-                    item_vectors,
-                    temperature=self.temperature,
-                    log_sampling_prob=(
-                        log_probabilities[rows]
-                        if log_probabilities is not None
-                        else None
-                    ),
+        self._begin_fit(model)
+        try:
+            optimizer = Adam(model.parameters(), lr=self.lr)
+            model.train()
+            order = np.arange(len(positives))
+            for epoch in range(self.epochs):
+                rng.shuffle(order)
+                losses: List[float] = []
+                for start in range(0, len(order), self.batch_size):
+                    rows = order[start : start + self.batch_size]
+                    if rows.size < 2:
+                        continue
+                    features = {
+                        name: col[rows] for name, col in positives.features.items()
+                    }
+                    user_vectors = model.user_vectors(features)
+                    item_vectors = model.item_vectors(features)
+                    loss = in_batch_softmax_loss(
+                        user_vectors,
+                        item_vectors,
+                        temperature=self.temperature,
+                        log_sampling_prob=(
+                            log_probabilities[rows]
+                            if log_probabilities is not None
+                            else None
+                        ),
+                    )
+                    value = self._step(optimizer, loss)
+                    losses.append(value)
+                    self._on_batch(optimizer, "encoder", {"loss": value})
+                if not losses:
+                    raise ValueError(
+                        "no trainable batches; lower batch_size below the "
+                        f"positive count ({len(positives)})"
+                    )
+                self._finish_epoch(
+                    epoch, {"loss": float(np.mean(losses))}, history
                 )
-                losses.append(self._step(optimizer, loss))
-            if not losses:
-                raise ValueError(
-                    "no trainable batches; lower batch_size below the "
-                    f"positive count ({len(positives)})"
-                )
-            self._finish_epoch(epoch, {"loss": float(np.mean(losses))}, history)
-        model.eval()
+            model.eval()
+        finally:
+            self._end_fit(history)
         return history
 
 

@@ -50,10 +50,9 @@ __all__ = [
 # Ambient trainer defaults: process-wide knobs (CLI flags, experiment
 # presets) consulted when a trainer is constructed without explicit
 # values.  Experiments construct their trainers internally, so this is
-# how ``--fuse`` / ``--n-workers`` reach them without threading new
-# arguments through every registry entry.
+# how ``--n-workers`` reaches them without threading new arguments
+# through every registry entry.
 _TRAINER_DEFAULTS: Dict[str, object] = {
-    "fuse": False,
     "n_workers": 0,
     "start_method": None,
     "worker_spool_dir": None,
@@ -63,8 +62,7 @@ _TRAINER_DEFAULTS: Dict[str, object] = {
 def set_trainer_defaults(**overrides) -> Dict[str, object]:
     """Update the ambient trainer defaults; returns the previous values.
 
-    Recognised keys: ``fuse`` (apply the kernel-fusion pass to models at
-    fit time), ``n_workers`` (0 = in-process training, N >= 1 = a
+    Recognised keys: ``n_workers`` (0 = in-process training, N >= 1 = a
     data-parallel worker pool of N processes), ``start_method`` and
     ``worker_spool_dir`` (see :class:`repro.nn.parallel.WorkerPool`).
     """
@@ -200,7 +198,6 @@ class _BaseTrainer:
         early_stopping: Optional[EarlyStopping] = None,
         callbacks: Optional[Sequence[TrainerCallback]] = None,
         dtype=None,
-        fuse: Optional[bool] = None,
         n_workers: Optional[int] = None,
         start_method: Optional[str] = None,
         worker_spool_dir=None,
@@ -211,7 +208,6 @@ class _BaseTrainer:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         # None means "use the ambient default" (set_trainer_defaults).
         defaults = _TRAINER_DEFAULTS
-        self.fuse = bool(defaults["fuse"] if fuse is None else fuse)
         self.n_workers = int(
             defaults["n_workers"] if n_workers is None else n_workers  # type: ignore[arg-type]
         )
@@ -241,6 +237,7 @@ class _BaseTrainer:
         self._previous_dtype = None
         self._best_value: Optional[float] = None
         self._best_state: Optional[Dict[str, np.ndarray]] = None
+        self._epochs_without_improvement = 0
         self._active_callbacks: Tuple[TrainerCallback, ...] = ()
         self._parameter_groups: List[Tuple[str, List]] = []
 
@@ -248,23 +245,13 @@ class _BaseTrainer:
     # Telemetry plumbing
     # ------------------------------------------------------------------
     def _begin_fit(self, model) -> None:
-        """Resolve callbacks, and enter the configured compute dtype.
-
-        When ``fuse`` is enabled the kernel-fusion pass rewrites the
-        model in place here (after any dtype change), so registry models
-        pick up the fused Linear→ReLU / cross-layer kernels without
-        model-code changes; the report lands on ``self.fusion_report``.
-        """
+        """Reset early stopping, resolve callbacks, enter the compute dtype."""
+        self._best_value = None
+        self._best_state = None
+        self._epochs_without_improvement = 0
         if self.dtype is not None:
             self._previous_dtype = set_default_dtype(self.dtype)
             model.to_dtype(self.dtype)
-        self.fusion_report = None
-        if self.fuse:
-            from repro.nn.fusion import fuse
-
-            self.fusion_report = fuse(model)
-            if self.verbose:
-                print(self.fusion_report.to_text())
         self._active_callbacks = tuple(self.callbacks) + global_callbacks()
         self._parameter_groups = []
         if self._active_callbacks:
@@ -375,10 +362,8 @@ class _BaseTrainer:
             if policy.restore_best:
                 self._best_state = model.state_dict()
         else:
-            self._epochs_without_improvement = (
-                getattr(self, "_epochs_without_improvement", 0) + 1
-            )
-        return getattr(self, "_epochs_without_improvement", 0) >= policy.patience
+            self._epochs_without_improvement += 1
+        return self._epochs_without_improvement >= policy.patience
 
     def _maybe_restore_best(self, model) -> None:
         """Reload the best snapshot when configured."""
@@ -432,9 +417,6 @@ class _BaseTrainer:
                     with maybe_span("train.epoch"):
                         for _ in range(pool.steps_per_epoch):
                             for position, path in enumerate(program.paths()):
-                                # zero_grad first: it also recycles the
-                                # arena generation the previous step's
-                                # optimizer scratch came from.
                                 optimizer.zero_grad()
                                 value, logs = pool.step(
                                     path, advance=(position == 0)

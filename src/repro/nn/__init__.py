@@ -5,14 +5,6 @@ ATNN paper without an external deep-learning framework.
 """
 
 from repro.nn import init, layers, losses, optim
-from repro.nn.arena import (
-    BufferArena,
-    arena_empty,
-    arena_zeros,
-    get_active_arena,
-    use_arena,
-)
-from repro.nn.fusion import FusionReport, fuse, fusion_hits, record_fusion_hit
 from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.sparse import SparseGrad, sparse_grads_enabled, use_sparse_grads
@@ -23,7 +15,6 @@ from repro.nn.tensor import (
     embedding_lookup,
     fused_cross,
     fused_embedding_bag,
-    fused_linear_relu,
     fused_mlp,
     get_active_sanitizer,
     get_default_dtype,
@@ -39,18 +30,8 @@ __all__ = [
     "layers",
     "losses",
     "optim",
-    "BufferArena",
-    "arena_empty",
-    "arena_zeros",
-    "get_active_arena",
-    "use_arena",
-    "FusionReport",
-    "fuse",
-    "fusion_hits",
-    "record_fusion_hit",
     "fused_cross",
     "fused_embedding_bag",
-    "fused_linear_relu",
     "fused_mlp",
     "check_gradients",
     "numerical_gradient",

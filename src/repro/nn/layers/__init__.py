@@ -8,22 +8,12 @@ from repro.nn.layers.activation import (
     Tanh,
     get_activation,
 )
-from repro.nn.layers.cross import (
-    CrossLayer,
-    CrossNetwork,
-    FusedCrossLayer,
-    FusedCrossNetwork,
-)
-from repro.nn.layers.dcn import DCN, FusedDCN
+from repro.nn.layers.cross import CrossLayer, CrossNetwork
+from repro.nn.layers.dcn import DCN
 from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.embedding import (
-    Embedding,
-    EmbeddingBag,
-    FeatureEmbeddings,
-    FusedFeatureEmbeddings,
-)
-from repro.nn.layers.linear import FusedLinearReLU, Linear
-from repro.nn.layers.mlp import MLP, FusedMLP
+from repro.nn.layers.embedding import Embedding, EmbeddingBag, FeatureEmbeddings
+from repro.nn.layers.linear import Linear
+from repro.nn.layers.mlp import MLP
 from repro.nn.layers.normalization import BatchNorm1d, LayerNorm
 
 __all__ = [
@@ -35,19 +25,13 @@ __all__ = [
     "get_activation",
     "CrossLayer",
     "CrossNetwork",
-    "FusedCrossLayer",
-    "FusedCrossNetwork",
     "DCN",
-    "FusedDCN",
-    "FusedFeatureEmbeddings",
     "Dropout",
     "Embedding",
     "EmbeddingBag",
     "FeatureEmbeddings",
-    "FusedLinearReLU",
     "Linear",
     "MLP",
-    "FusedMLP",
     "BatchNorm1d",
     "LayerNorm",
 ]

@@ -21,11 +21,16 @@ from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.tensor import Tensor, fused_cross
 
-__all__ = ["CrossLayer", "CrossNetwork", "FusedCrossLayer", "FusedCrossNetwork"]
+__all__ = ["CrossLayer", "CrossNetwork"]
 
 
 class CrossLayer(Module):
-    """One explicit feature-crossing layer: ``x0 * (x · w) + b + x``."""
+    """One explicit feature-crossing layer: ``x0 * (x · w) + b + x``.
+
+    Runs as one fused tape node (:func:`repro.nn.tensor.fused_cross`)
+    whose backward shares one row-sum projection across all four parent
+    gradients.
+    """
 
     def __init__(self, dim: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -43,9 +48,7 @@ class CrossLayer(Module):
             raise ValueError(
                 f"cross layer expected width {self.dim}, got x0={x0.shape}, x={x.shape}"
             )
-        # (batch, 1) scalar interaction weight per row, then outer with x0.
-        projection = x @ self.weight
-        return x0 * projection + self.bias + x
+        return fused_cross(x0, x, self.weight, self.bias)
 
 
 class CrossNetwork(Module):
@@ -80,48 +83,3 @@ class CrossNetwork(Module):
         for layer in self.layers:
             out = layer(x0, out)
         return out
-
-
-class FusedCrossLayer(CrossLayer):
-    """A :class:`CrossLayer` whose forward records one fused tape node.
-
-    ``x0 * (x · w) + b + x`` is computed by a single kernel
-    (:func:`repro.nn.tensor.fused_cross`) instead of a four-node chain;
-    the backward closure shares one row-sum projection across all four
-    parent gradients.  Parameter names match ``CrossLayer`` exactly, so
-    substitution preserves ``state_dict`` layouts.
-    """
-
-    @classmethod
-    def from_layer(cls, layer: CrossLayer) -> "FusedCrossLayer":
-        """Wrap an existing layer's parameters (shared, not copied)."""
-        fused = cls.__new__(cls)
-        Module.__init__(fused)
-        fused.dim = layer.dim
-        fused.weight = layer.weight
-        fused.bias = layer.bias
-        return fused
-
-    def forward(self, x0: Tensor, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.dim or x0.shape[-1] != self.dim:
-            raise ValueError(
-                f"cross layer expected width {self.dim}, got x0={x0.shape}, x={x.shape}"
-            )
-        from repro.nn.fusion import record_fusion_hit
-
-        record_fusion_hit("cross")
-        return fused_cross(x0, x, self.weight, self.bias)
-
-
-class FusedCrossNetwork(CrossNetwork):
-    """A :class:`CrossNetwork` built from :class:`FusedCrossLayer` stages."""
-
-    def __init__(
-        self,
-        dim: int,
-        num_layers: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__(dim, num_layers, rng=rng)
-        for index, layer in enumerate(list(self.layers)):
-            self.layers.replace(index, FusedCrossLayer.from_layer(layer))

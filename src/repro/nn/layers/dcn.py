@@ -17,7 +17,7 @@ from repro.nn.layers.mlp import MLP
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, concat
 
-__all__ = ["DCN", "FusedDCN"]
+__all__ = ["DCN"]
 
 
 class DCN(Module):
@@ -57,33 +57,3 @@ class DCN(Module):
         cross_out = self.cross(x)
         deep_out = self.deep(x)
         return concat([cross_out, deep_out], axis=-1)
-
-
-class FusedDCN(DCN):
-    """A :class:`DCN` whose cross and deep halves run on fused kernels.
-
-    Construction matches :class:`DCN`; afterwards the cross layers are
-    swapped for :class:`~repro.nn.layers.cross.FusedCrossLayer` stages
-    and the deep MLP for a :class:`~repro.nn.layers.mlp.FusedMLP` (when
-    eligible — an MLP with dropout keeps the unfused path).  Parameter
-    names are unchanged, so checkpoints transfer both ways.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        deep_dims: Sequence[int],
-        num_cross_layers: int = 2,
-        dropout: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__(
-            in_features,
-            deep_dims,
-            num_cross_layers=num_cross_layers,
-            dropout=dropout,
-            rng=rng,
-        )
-        from repro.nn.fusion import fuse
-
-        fuse(self)

@@ -15,14 +15,9 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, concat, embedding_lookup, fused_embedding_bag
+from repro.nn.tensor import Tensor, embedding_lookup, fused_embedding_bag
 
-__all__ = [
-    "Embedding",
-    "EmbeddingBag",
-    "FeatureEmbeddings",
-    "FusedFeatureEmbeddings",
-]
+__all__ = ["Embedding", "EmbeddingBag", "FeatureEmbeddings"]
 
 
 class Embedding(Module):
@@ -110,7 +105,10 @@ class FeatureEmbeddings(Module):
 
     Produces the concatenation of each feature's embedding, in the order the
     features were declared — the standard "embedding layer" block of the
-    paper's Figures 3–4.
+    paper's Figures 3–4.  With more than one feature the whole block is one
+    fused tape node (:func:`repro.nn.tensor.fused_embedding_bag`): every
+    table gathers straight into its column slice of one output buffer, and
+    the backward hands each table a view of its gradient columns.
 
     Parameters
     ----------
@@ -163,42 +161,9 @@ class FeatureEmbeddings(Module):
         missing = [name for name in self.feature_names if name not in features]
         if missing:
             raise KeyError(f"missing categorical features: {missing}")
-        parts = [self._tables[name](features[name]) for name in self.feature_names]
-        if len(parts) == 1:
-            return parts[0]
-        return concat(parts, axis=-1)
-
-
-class FusedFeatureEmbeddings(FeatureEmbeddings):
-    """:class:`FeatureEmbeddings` running the whole block as one fused node.
-
-    The unfused bank records one lookup node per table plus a concat; the
-    fused forward gathers every table straight into column slices of a
-    single output buffer (``Tensor._fused_embedding_bag``), and the
-    backward hands each table a view of its gradient columns.  Built by
-    the :func:`repro.nn.fusion.fuse` pass via :meth:`from_bank`, which
-    re-registers the *same* :class:`Embedding` children under the same
-    names — parameter identity, optimizer state and ``state_dict``
-    layouts are untouched.
-    """
-
-    @classmethod
-    def from_bank(cls, bank: FeatureEmbeddings) -> "FusedFeatureEmbeddings":
-        fused = cls.__new__(cls)
-        Module.__init__(fused)
-        fused.feature_names = list(bank.feature_names)
-        fused._tables = dict(bank._tables)
-        for name in fused.feature_names:
-            fused.register_module(f"emb_{name}", fused._tables[name])
-        return fused
-
-    def forward(self, features: Mapping[str, np.ndarray]) -> Tensor:
-        missing = [name for name in self.feature_names if name not in features]
-        if missing:
-            raise KeyError(f"missing categorical features: {missing}")
-        from repro.nn.fusion import record_fusion_hit
-
-        record_fusion_hit("embedding_bag")
+        if len(self.feature_names) == 1:
+            name = self.feature_names[0]
+            return self._tables[name](features[name])
         return fused_embedding_bag(
             [self._tables[name].weight for name in self.feature_names],
             [np.asarray(features[name]) for name in self.feature_names],

@@ -8,9 +8,9 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, fused_linear_relu
+from repro.nn.tensor import Tensor
 
-__all__ = ["Linear", "FusedLinearReLU"]
+__all__ = ["Linear"]
 
 
 class Linear(Module):
@@ -63,65 +63,5 @@ class Linear(Module):
     def __repr__(self) -> str:
         return (
             f"Linear(in_features={self.in_features}, "
-            f"out_features={self.out_features}, bias={self.bias is not None})"
-        )
-
-
-class FusedLinearReLU(Module):
-    """``relu(x W + b)`` recorded as one fused tape node.
-
-    Drop-in for a ``Linear`` followed by a ``ReLU``: same parameter names
-    (``weight``/``bias``), one graph node instead of three, and a single
-    backward closure that masks the incoming gradient once.  Build one
-    directly, or wrap an existing layer with :meth:`from_linear` (the
-    parameters are shared, not copied, so optimizer state and
-    ``state_dict`` names carry over).
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError(
-                f"feature sizes must be positive, got {in_features}x{out_features}"
-            )
-        rng = rng if rng is not None else np.random.default_rng()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(
-            init.xavier_uniform(rng, (in_features, out_features)), name="weight"
-        )
-        self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
-
-    @classmethod
-    def from_linear(cls, linear: Linear) -> "FusedLinearReLU":
-        """Wrap an existing ``Linear``'s parameters (shared, not copied)."""
-        fused = cls.__new__(cls)
-        Module.__init__(fused)
-        fused.in_features = linear.in_features
-        fused.out_features = linear.out_features
-        fused.weight = linear.weight
-        fused.bias = linear.bias
-        return fused
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"FusedLinearReLU expected input with {self.in_features} "
-                f"features, got shape {x.shape}"
-            )
-        from repro.nn.fusion import record_fusion_hit
-
-        record_fusion_hit("linear_relu")
-        return fused_linear_relu(x, self.weight, self.bias)
-
-    def __repr__(self) -> str:
-        return (
-            f"FusedLinearReLU(in_features={self.in_features}, "
             f"out_features={self.out_features}, bias={self.bias is not None})"
         )

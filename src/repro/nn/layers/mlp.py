@@ -12,7 +12,7 @@ from repro.nn.layers.linear import Linear
 from repro.nn.module import Module, ModuleList
 from repro.nn.tensor import Tensor, fused_mlp
 
-__all__ = ["MLP", "FusedMLP"]
+__all__ = ["MLP"]
 
 
 class MLP(Module):
@@ -21,6 +21,13 @@ class MLP(Module):
     This is the "deep" half of the DCN towers and the fully connected head
     the paper places after the cross network (256-256-256-128 in the ATNN
     configuration).
+
+    A stack of ``Linear`` / (``ReLU`` | ``Identity``) pairs without dropout
+    runs as one fused tape node (:func:`repro.nn.tensor.fused_mlp`), so an
+    L-layer MLP records one graph node instead of ~3L.  Stacks the fused
+    kernel cannot express (dropout, sigmoid/tanh/leaky-relu) run the
+    layer chain.  Either way the parameters live on the ``layers``
+    children, so ``state_dict`` paths do not depend on the path taken.
 
     Parameters
     ----------
@@ -58,91 +65,32 @@ class MLP(Module):
 
         layers = ModuleList()
         widths = [in_features, *hidden_dims]
+        fusable = dropout == 0.0
+        triples = []
         for index, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            layers.append(Linear(fan_in, fan_out, rng=rng))
+            linear = Linear(fan_in, fan_out, rng=rng)
+            layers.append(linear)
             is_last = index == len(hidden_dims) - 1
-            layers.append(get_activation(output_activation if is_last else activation))
+            act = get_activation(output_activation if is_last else activation)
+            layers.append(act)
             if dropout > 0.0 and not is_last:
                 layers.append(Dropout(dropout, rng=rng))
+            fusable = fusable and isinstance(act, (ReLU, Identity))
+            triples.append((linear.weight, linear.bias, isinstance(act, ReLU)))
         self.layers = layers
+        # (weight, bias, relu) per layer for the fused kernel, or None for
+        # the layer chain.  Parameters are updated in place (optimizers,
+        # to_dtype, load_state_dict), so the triples never go stale.
+        self._fused_layers = tuple(triples) if fusable else None
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
-class FusedMLP(Module):
-    """An :class:`MLP` replayed through one fused tape node per forward.
-
-    Wraps an existing MLP whose layer stack is strictly alternating
-    ``Linear`` / (``ReLU`` | ``Identity``): the whole stack becomes a
-    single :func:`repro.nn.tensor.fused_mlp` call, so an L-layer MLP
-    records one graph node instead of ~3L.  The wrapped MLP's ``layers``
-    container is re-registered under the same name, preserving every
-    ``state_dict`` path, and parameters are shared (not copied).
-
-    Use :meth:`from_mlp` (or the :func:`repro.nn.fusion.fuse` pass) to
-    build one; it returns ``None`` with a reason for stacks the fused
-    kernel cannot express (dropout, sigmoid/tanh/leaky-relu).
-    """
-
-    def __init__(self, mlp: MLP, specs) -> None:
-        super().__init__()
-        self.in_features = mlp.in_features
-        self.out_features = mlp.out_features
-        self.layers = mlp.layers
-        # (weight, bias_or_None, relu) triples; Parameter objects are
-        # stable across to_dtype/load_state_dict (both mutate in place),
-        # so the triples can be cached at build time.
-        self._triples = tuple(
-            (linear.weight, linear.bias, activate) for linear, activate in specs
-        )
-
-    @classmethod
-    def from_mlp(cls, mlp: MLP):
-        """``(FusedMLP, None)`` for an eligible MLP, else ``(None, reason)``."""
-        items = list(mlp.layers)
-        specs = []
-        index = 0
-        while index < len(items):
-            linear = items[index]
-            if type(linear) is not Linear:
-                return None, (
-                    f"unsupported layer {type(linear).__name__} at "
-                    f"position {index}"
-                )
-            if index + 1 >= len(items):
-                return None, f"dangling Linear at position {index}"
-            activation = items[index + 1]
-            if isinstance(activation, ReLU):
-                activate = True
-            elif isinstance(activation, Identity):
-                activate = False
-            else:
-                return None, (
-                    f"unsupported activation {type(activation).__name__} at "
-                    f"position {index + 1}"
-                )
-            specs.append((linear, activate))
-            index += 2
-        if not specs:
-            return None, "empty layer stack"
-        return cls(mlp, specs), None
-
-    def forward(self, x: Tensor) -> Tensor:
+        if self._fused_layers is None:
+            for layer in self.layers:
+                x = layer(x)
+            return x
         if x.ndim != 2 or x.shape[-1] != self.in_features:
             raise ValueError(
-                f"FusedMLP expected 2-D input with {self.in_features} "
-                f"features, got shape {x.shape}"
+                f"MLP expected 2-D input with {self.in_features} features, "
+                f"got shape {x.shape}"
             )
-        from repro.nn.fusion import record_fusion_hit
-
-        record_fusion_hit("mlp")
-        return fused_mlp(x, self._triples)
-
-    def __repr__(self) -> str:
-        return (
-            f"FusedMLP(in_features={self.in_features}, "
-            f"out_features={self.out_features}, layers={len(self._triples)})"
-        )
+        return fused_mlp(x, self._fused_layers)

@@ -181,20 +181,6 @@ class ModuleList(Module):
         self._items.append(module)
         self.register_module(str(index), module)
 
-    def replace(self, index: int, module: Module) -> Module:
-        """Swap the module at ``index``, returning the old one.
-
-        Used by the fusion pass (:func:`repro.nn.fusion.fuse`) to
-        substitute fused equivalents in place; the replacement is
-        registered under the same positional name, so ``state_dict``
-        paths are preserved as long as the new module exposes the same
-        parameter names.
-        """
-        previous = self._items[index]
-        self._items[index] = module
-        self.register_module(str(index), module)
-        return previous
-
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)
 

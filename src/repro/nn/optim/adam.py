@@ -6,7 +6,6 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.nn.arena import arena_empty
 from repro.nn.module import Parameter
 from repro.nn.optim.optimizer import Optimizer
 from repro.nn.sparse import SparseGrad
@@ -83,12 +82,11 @@ class Adam(Optimizer):
         v = self._v[key]
         self._t[key] += 1
         t = self._t[key]
-        # In-place moment updates over arena scratch: the dense sweep is
-        # bandwidth-bound, so every full-size temporary matters.  The
+        # In-place moment updates over explicit scratch: the dense sweep
+        # is bandwidth-bound, so every full-size temporary matters.  The
         # operation order matches the naive expressions exactly (scalar
-        # multiplies commuted, which is bit-exact), so arena-on and
-        # arena-off runs produce identical weights.
-        scratch = arena_empty(grad.shape, grad.dtype)
+        # multiplies commuted, which is bit-exact).
+        scratch = np.empty(grad.shape, dtype=grad.dtype)
         m *= self.beta1
         np.multiply(grad, 1 - self.beta1, out=scratch)
         m += scratch
@@ -96,9 +94,9 @@ class Adam(Optimizer):
         np.multiply(grad, grad, out=scratch)
         scratch *= 1 - self.beta2
         v += scratch
-        m_hat = arena_empty(m.shape, m.dtype)
+        m_hat = np.empty(m.shape, dtype=m.dtype)
         np.divide(m, 1 - self.beta1 ** t, out=m_hat)
-        v_hat = arena_empty(v.shape, v.dtype)
+        v_hat = np.empty(v.shape, dtype=v.dtype)
         np.divide(v, 1 - self.beta2 ** t, out=v_hat)
         np.sqrt(v_hat, out=v_hat)
         v_hat += self.eps
@@ -114,7 +112,7 @@ class Adam(Optimizer):
         if idx.size == 0:
             return
         if self.weight_decay:
-            decayed = arena_empty(rows.shape, rows.dtype)
+            decayed = np.empty(rows.shape, dtype=rows.dtype)
             np.take(param.data, idx, axis=0, out=decayed)
             decayed *= self.weight_decay
             decayed += rows
@@ -125,17 +123,17 @@ class Adam(Optimizer):
         t = self._t[key]
         m = self._m[key]
         v = self._v[key]
-        # Gather/scatter over arena scratch (np.take with out= instead of
-        # fancy-index copies); operation order is bit-identical to the
+        # Gather/scatter over explicit scratch (np.take with out= instead
+        # of fancy-index copies); operation order is bit-identical to the
         # naive version, see _update.
-        scratch = arena_empty(rows.shape, rows.dtype)
-        m_rows = arena_empty(rows.shape, rows.dtype)
+        scratch = np.empty(rows.shape, dtype=rows.dtype)
+        m_rows = np.empty(rows.shape, dtype=rows.dtype)
         np.take(m, idx, axis=0, out=m_rows)
         m_rows *= self.beta1
         np.multiply(rows, 1 - self.beta1, out=scratch)
         m_rows += scratch
         m[idx] = m_rows
-        v_rows = arena_empty(rows.shape, rows.dtype)
+        v_rows = np.empty(rows.shape, dtype=rows.dtype)
         np.take(v, idx, axis=0, out=v_rows)
         v_rows *= self.beta2
         np.multiply(rows, rows, out=scratch)
@@ -143,7 +141,7 @@ class Adam(Optimizer):
         v_rows += scratch
         v[idx] = v_rows
         np.divide(m_rows, 1 - self.beta1 ** t, out=scratch)  # m_hat
-        v_hat = arena_empty(rows.shape, rows.dtype)
+        v_hat = np.empty(rows.shape, dtype=rows.dtype)
         np.divide(v_rows, 1 - self.beta2 ** t, out=v_hat)
         np.sqrt(v_hat, out=v_hat)
         v_hat += self.eps

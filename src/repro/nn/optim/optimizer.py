@@ -6,7 +6,6 @@ from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
-from repro.nn.arena import get_active_arena
 from repro.nn.module import Parameter
 from repro.nn.sparse import SparseGrad
 
@@ -41,20 +40,9 @@ class Optimizer:
         self._wd_buffers: Dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
-        """Clear gradients on every managed parameter.
-
-        Also ends the active :class:`~repro.nn.arena.BufferArena`
-        generation, recycling every buffer the previous step's backward
-        pass and optimizer update rented.  This is the one safe point in
-        the step cycle: gradients have just been dropped, no backward
-        closure from the new step has run yet, and forward activations
-        are never arena-backed.
-        """
+        """Clear gradients on every managed parameter."""
         for param in self.parameters:
             param.zero_grad()
-        arena = get_active_arena()
-        if arena is not None:
-            arena.advance()
 
     def step(self) -> None:
         """Apply one update using the gradients currently stored."""

@@ -1,10 +1,9 @@
 """Multi-process data-parallel training.
 
 The numpy autograd engine is single-threaded by construction (see
-``docs/thread_hostility.md``: tape state, the buffer arena and the
-metrics registry are all process-ambient), so scaling out means
-*processes*, not threads.  This module implements a synchronous
-worker-pool trainer:
+``docs/thread_hostility.md``: tape state and the metrics registry are
+process-ambient), so scaling out means *processes*, not threads.  This
+module implements a synchronous worker-pool trainer:
 
 * **Shared parameter slab** — every model parameter is re-bound onto a
   view of one named ``SharedMemory`` block.  Fork workers inherit the
@@ -48,7 +47,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.dataset import Batch, InteractionDataset
-from repro.nn.arena import get_active_arena
 from repro.nn.losses import (
     binary_cross_entropy,
     mean_squared_error,
@@ -388,12 +386,9 @@ def _worker_main(conn, init: _WorkerInit) -> None:
                 encoded = [_encode_grad(param.grad) for param in parameters]
                 conn.send(("grads", value, logs, encoded))
                 # The reply is fully pickled before send returns, so the
-                # gradient buffers can be recycled for the next step.
+                # gradient buffers can be dropped before the next step.
                 for param in parameters:
                     param.grad = None
-                arena = get_active_arena()
-                if arena is not None:
-                    arena.advance()
                 if registry is not None:
                     registry.counter(
                         "parallel.worker.steps",

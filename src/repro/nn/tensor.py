@@ -32,7 +32,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.arena import arena_empty, arena_zeros
 from repro.nn.sparse import SparseGrad, sparse_grads_enabled
 
 __all__ = [
@@ -345,7 +344,7 @@ class Tensor:
             if isinstance(grad, SparseGrad) or owned:
                 self.grad = grad
             else:
-                buffer = arena_empty(grad.shape, grad.dtype)
+                buffer = np.empty(grad.shape, dtype=grad.dtype)
                 np.copyto(buffer, grad)
                 self.grad = buffer
         elif isinstance(self.grad, SparseGrad):
@@ -436,7 +435,7 @@ class Tensor:
                 elif incoming_sparse:
                     # Unowned dense + sparse: copy the dense buffer once and
                     # scatter the rows in (never densify the sparse side).
-                    buffer = arena_empty(current.shape, current.dtype)
+                    buffer = np.empty(current.shape, dtype=current.dtype)
                     np.copyto(buffer, current)
                     parent_grad.add_into(buffer)
                     grads[key] = buffer
@@ -449,7 +448,7 @@ class Tensor:
                         and current.shape == parent_grad.shape
                         and current.dtype == parent_grad.dtype
                     ):
-                        merged = arena_empty(current.shape, current.dtype)
+                        merged = np.empty(current.shape, dtype=current.dtype)
                         np.add(current, parent_grad, out=merged)
                         grads[key] = merged
                     else:
@@ -611,7 +610,7 @@ class Tensor:
         value = a.data[index]
 
         def backward(grad: np.ndarray):
-            full = arena_zeros(a.data.shape, a.data.dtype)
+            full = np.zeros(a.data.shape, dtype=a.data.dtype)
             np.add.at(full, index, grad)
             return (full,)
 
@@ -631,7 +630,7 @@ class Tensor:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(ax % a.ndim for ax in axes):
                     g = np.expand_dims(g, ax)
-            buffer = arena_empty(a.shape, grad.dtype)
+            buffer = np.empty(a.shape, dtype=grad.dtype)
             np.copyto(buffer, g)  # copyto broadcasts g across a.shape
             return (buffer,)
 
@@ -720,7 +719,7 @@ class Tensor:
         mask = a.data > 0
 
         def backward(grad: np.ndarray):
-            buffer = arena_empty(grad.shape, grad.dtype)
+            buffer = np.empty(grad.shape, dtype=grad.dtype)
             np.multiply(grad, mask, out=buffer)
             return (buffer,)
 
@@ -807,10 +806,8 @@ class Tensor:
         def backward(grad: np.ndarray):
             if not sparse_grads_enabled():
                 # Legacy dense path, kept for benchmarking and as a
-                # fallback: materialises the full table every step.  Not
-                # arena-pooled: the buffer is vocab x dim, and pooling it
-                # would pin the whole table's worth of memory per step.
-                full = np.zeros_like(weight.data)  # repro-lint: disable=ATN006 -- legacy dense fallback; pooling a vocab x dim buffer would pin table-sized memory
+                # fallback: materialises the full table every step.
+                full = np.zeros_like(weight.data)
                 np.add.at(full, indices, grad)
                 return (full,)
             dim = weight.data.shape[1]
@@ -820,54 +817,14 @@ class Tensor:
         return Tensor._make(value, (weight,), backward)
 
     # ------------------------------------------------------------------
-    # Fused ops (perf round 2)
+    # Fused ops
     # ------------------------------------------------------------------
     # Each fused op collapses a multi-node subgraph into a single tape
     # node: one forward kernel over preallocated storage and one backward
     # closure, eliminating the python-level dispatch, intermediate Tensor
-    # wrappers and per-node gradient buffers of the unfused chain.  All
-    # scratch comes from the ambient BufferArena when one is installed.
-    # The fused modules in ``repro.nn.layers`` and the graph-level
-    # substitution pass in ``repro.nn.fusion`` are the public surface.
-    @staticmethod
-    def _fused_linear_relu(
-        x: "Tensor", weight: "Tensor", bias: Optional["Tensor"] = None
-    ) -> "Tensor":
-        """``relu(x @ weight + bias)`` as one node.
-
-        Forward is a single matmul with the bias-add and the ReLU applied
-        in place on the matmul output; backward masks the incoming
-        gradient once and feeds both parent matmuls from the masked
-        buffer.
-        """
-        if x.ndim != 2 or weight.ndim != 2:
-            raise ValueError(
-                f"fused_linear_relu expects 2-D operands, got "
-                f"{x.shape} @ {weight.shape}"
-            )
-        value = x.data @ weight.data
-        if bias is not None:
-            value += bias.data
-        np.maximum(value, 0.0, out=value)
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(grad: np.ndarray):
-            # The pre-activation is only needed through its sign, and
-            # relu output > 0 iff pre-activation > 0 — so the saved
-            # output doubles as the mask and the pre-activation is never
-            # materialised.
-            mask = arena_empty(value.shape, np.bool_)
-            np.greater(value, 0.0, out=mask)
-            masked = arena_empty(grad.shape, grad.dtype)
-            np.multiply(grad, mask, out=masked)
-            grad_x = masked @ weight.data.T
-            grad_w = x.data.T @ masked
-            if bias is None:
-                return (grad_x, grad_w)
-            return (grad_x, grad_w, masked.sum(axis=0))
-
-        return Tensor._make(value, parents, backward, owns_grads=True)
-
+    # wrappers and per-node gradient buffers of the equivalent op chain.
+    # They are the implementation of ``MLP``, ``CrossLayer``,
+    # ``FeatureEmbeddings`` and ``binary_cross_entropy_with_logits``.
     @staticmethod
     def _fused_cross(
         x0: "Tensor", x: "Tensor", weight: "Tensor", bias: "Tensor"
@@ -893,12 +850,12 @@ class Tensor:
         def backward(grad: np.ndarray):
             # s = rowsum(grad * x0): the only reduction the whole layer
             # needs; feeds grad_x, grad_w directly.
-            scratch = arena_empty(grad.shape, grad.dtype)
+            scratch = np.empty(grad.shape, dtype=grad.dtype)
             np.multiply(grad, x0.data, out=scratch)
             s = scratch.sum(axis=1, keepdims=True)  # (batch, 1)
-            grad_x0 = arena_empty(grad.shape, grad.dtype)
+            grad_x0 = np.empty(grad.shape, dtype=grad.dtype)
             np.multiply(grad, proj, out=grad_x0)
-            grad_x = arena_empty(grad.shape, grad.dtype)
+            grad_x = np.empty(grad.shape, dtype=grad.dtype)
             np.multiply(s, weight.data.T, out=grad_x)
             grad_x += grad
             grad_w = x.data.T @ s
@@ -945,9 +902,9 @@ class Tensor:
             for i in range(len(layers) - 1, -1, -1):
                 weight, bias_t, activate = layers[i]
                 if activate:
-                    mask = arena_empty(saved[i + 1].shape, np.bool_)
+                    mask = np.empty(saved[i + 1].shape, dtype=np.bool_)
                     np.greater(saved[i + 1], 0.0, out=mask)
-                    masked = arena_empty(g.shape, g.dtype)
+                    masked = np.empty(g.shape, dtype=g.dtype)
                     np.multiply(g, mask, out=masked)
                     g = masked
                 grad_w = saved[i].T @ g
@@ -990,13 +947,13 @@ class Tensor:
         inverse_n = 1.0 / max(z.size, 1)
 
         def backward(grad: np.ndarray):
-            grad_z = arena_empty(z.shape, z.dtype)
+            grad_z = np.empty(z.shape, dtype=z.dtype)
             np.greater(z, 0.0, out=grad_z)  # step(z) as 0/1 floats
             grad_z -= targets
-            ratio = arena_empty(z.shape, z.dtype)
+            ratio = np.empty(z.shape, dtype=z.dtype)
             np.sign(z, out=ratio)
             ratio *= exp_neg_abs
-            denominator = arena_empty(z.shape, z.dtype)
+            denominator = np.empty(z.shape, dtype=z.dtype)
             np.add(exp_neg_abs, 1.0, out=denominator)
             ratio /= denominator
             grad_z -= ratio
@@ -1063,7 +1020,7 @@ class Tensor:
             if not sparse_grads_enabled():
                 outs = []
                 for weight, indices, (lo, hi) in zip(weights, indices_list, splits):
-                    full = np.zeros_like(weight.data)  # repro-lint: disable=ATN006 -- legacy dense fallback; pooling a vocab x dim buffer would pin table-sized memory
+                    full = np.zeros_like(weight.data)
                     np.add.at(full, indices, grad[:, lo:hi])
                     outs.append(full)
                 return tuple(outs)
@@ -1095,11 +1052,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     ``use_sparse_grads(False)`` to fall back to the legacy dense scatter.
     """
     return Tensor._embedding_lookup(weight, indices)
-
-
-def fused_linear_relu(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``relu(x @ weight + bias)`` as a single fused tape node."""
-    return Tensor._fused_linear_relu(x, weight, bias)
 
 
 def fused_cross(x0: Tensor, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -68,10 +68,8 @@ PROFILED_OPS: Dict[str, str] = {
     "_concat": "concat",
     "_stack": "stack",
     "_embedding_lookup": "embedding_lookup",
-    # Fused kernels (perf round 2): each subsumes a multi-node subgraph,
-    # so their rows replace the unfused add/matmul/relu rows in the
-    # breakdown when fusion is on.
-    "_fused_linear_relu": "fused_linear_relu",
+    # Fused kernels: each subsumes a multi-node subgraph (the DCN towers'
+    # MLP, cross and embedding blocks, and the BCE-with-logits loss).
     "_fused_cross": "fused_cross",
     "_fused_mlp": "fused_mlp",
     "_fused_embedding_bag": "fused_embedding_bag",

@@ -109,60 +109,6 @@ def test_atn005_allows_seeded_generators(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# ATN006: fresh allocations inside backward closures
-# ----------------------------------------------------------------------
-def test_atn006_flags_allocators_in_backward(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def _op(x):\n"
-        "    def backward(grad):\n"
-        "        scratch = np.zeros(x.shape, dtype=x.dtype)\n"
-        "        other = np.empty_like(grad)\n"
-        "        return np.copy(scratch)\n"
-        "    return backward\n"
-    )
-    diagnostics = _lint_source(tmp_path, "src/repro/nn/tensor.py", source)
-    assert _codes(diagnostics) == ["ATN006", "ATN006", "ATN006"]
-
-
-def test_atn006_ignores_allocations_outside_backward(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def forward(x):\n"
-        "    return np.zeros_like(x)\n"
-    )
-    assert _lint_source(tmp_path, "src/repro/nn/tensor.py", source) == []
-
-
-def test_atn006_scoped_to_engine_code(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def backward(grad):\n"
-        "    return np.zeros_like(grad)\n"
-    )
-    assert _lint_source(tmp_path, "src/repro/core/trainer.py", source) == []
-
-
-def test_atn006_allows_arena_rentals(tmp_path):
-    source = (
-        "from repro.nn.arena import arena_zeros\n"
-        "def backward(grad):\n"
-        "    return arena_zeros(grad.shape, grad.dtype)\n"
-    )
-    assert _lint_source(tmp_path, "src/repro/nn/sparse.py", source) == []
-
-
-def test_atn006_suppression_requires_reason(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def backward(grad):\n"
-        "    return np.zeros_like(grad)"
-        "  # repro-lint: disable=ATN006 -- dense fallback, never pooled\n"
-    )
-    assert _lint_source(tmp_path, "src/repro/nn/tensor.py", source) == []
-
-
-# ----------------------------------------------------------------------
 # benchmarks/ in the dtype scope (ATN002)
 # ----------------------------------------------------------------------
 def test_atn002_covers_benchmarks(tmp_path):

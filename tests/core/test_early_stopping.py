@@ -58,6 +58,37 @@ class TestTrainerIntegration:
         history = trainer.fit(model, train, valid=test)
         assert history.n_epochs == 2  # epoch 1 sets best, epoch 2 exhausts patience
 
+    def test_reused_trainer_starts_each_fit_fresh(
+        self, tiny_tmall_world, tiny_tower_config, split
+    ):
+        """Early-stopping state from one fit must not leak into the next."""
+        train, test = split
+
+        def model(seed):
+            return TwoTowerModel(
+                tiny_tmall_world.schema, tiny_tower_config,
+                rng=np.random.default_rng(seed),
+            )
+
+        def trainer():
+            return TwoTowerTrainer(
+                epochs=4, batch_size=256, lr=3e-3,
+                early_stopping=EarlyStopping(metric="valid_auc", patience=1),
+            )
+
+        # The first fit improves every epoch, so a leaked best value would
+        # stop the identically initialised second fit after one epoch.
+        reused = trainer()
+        reused.fit(model(2), train, valid=test)
+        second = model(2)
+        reused_history = reused.fit(second, train, valid=test)
+        fresh = model(2)
+        fresh_history = trainer().fit(fresh, train, valid=test)
+        assert reused_history.n_epochs == 4
+        assert reused_history.to_dict() == fresh_history.to_dict()
+        for key, value in fresh.state_dict().items():
+            np.testing.assert_array_equal(second.state_dict()[key], value)
+
     def test_missing_metric_raises(self, tiny_tmall_world, tiny_tower_config, split):
         train, _ = split
         model = TwoTowerModel(

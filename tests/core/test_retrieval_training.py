@@ -9,6 +9,7 @@ from repro.core import (
     TwoTowerModel,
     recall_against_corpus,
 )
+from repro.obs import TrainerCallback
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,50 @@ class TestRetrievalTrainer:
     def test_invalid_temperature_rejected(self):
         with pytest.raises(ValueError):
             RetrievalTrainer(temperature=0.0)
+
+    def test_worker_pool_rejected(self):
+        with pytest.raises(ValueError, match="n_workers=1"):
+            RetrievalTrainer(n_workers=1)
+
+    def test_trains_in_the_configured_dtype(
+        self, tiny_tmall_world, tiny_tower_config
+    ):
+        model = TwoTowerModel(
+            tiny_tmall_world.schema, tiny_tower_config,
+            rng=np.random.default_rng(1),
+        )
+        RetrievalTrainer(epochs=1, batch_size=256, dtype=np.float32).fit(
+            model, tiny_tmall_world.interactions
+        )
+        assert {p.data.dtype for p in model.parameters()} == {
+            np.dtype(np.float32)
+        }
+
+    def test_callbacks_see_every_batch(self, tiny_tmall_world, tiny_tower_config):
+        class _Recorder(TrainerCallback):
+            def __init__(self):
+                self.events = []
+
+            def on_train_begin(self, trainer, model):
+                self.events.append("begin")
+
+            def on_batch_end(self, stats):
+                self.events.append((stats.path, sorted(stats.losses)))
+
+            def on_train_end(self, history):
+                self.events.append("end")
+
+        model = TwoTowerModel(
+            tiny_tmall_world.schema, tiny_tower_config,
+            rng=np.random.default_rng(1),
+        )
+        recorder = _Recorder()
+        RetrievalTrainer(epochs=1, batch_size=256, callbacks=[recorder]).fit(
+            model, tiny_tmall_world.interactions
+        )
+        batches = recorder.events[1:-1]
+        assert recorder.events[0] == "begin" and recorder.events[-1] == "end"
+        assert batches and all(event == ("encoder", ["loss"]) for event in batches)
 
     def test_too_few_positives_rejected(self, tiny_tmall_world, tiny_tower_config):
         model = TwoTowerModel(

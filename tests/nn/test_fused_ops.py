@@ -1,8 +1,11 @@
-"""Fused tape nodes must match their unfused subgraphs, gradient for gradient.
+"""The fused layers must match their op-chain references, gradient for gradient.
 
-Covers the five round-2 fused kernels (linear+relu, DCN cross, MLP stack,
-embedding bag, BCE-with-logits), the graph-level ``fuse()`` substitution
-pass, and the interaction with the runtime sanitizer and the buffer arena.
+``MLP``, ``CrossLayer`` and ``FeatureEmbeddings`` run as fused tape nodes
+(as does BCE-with-logits); ``tests/nn/reference_ops.py`` rebuilds each as
+a chain of elementary ops over the same parameters.  Forward values must
+be bit-identical; gradients match at tight tolerances in both precisions,
+per layer and over every path of every registry model.  A guard on a
+default ATNN training step keeps the towers on the fused kernels.
 """
 
 import numpy as np
@@ -12,27 +15,37 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.analysis import GradSanitizer
+from repro.analysis.checker import default_paths, demo_schema, schema_inputs
+from repro.core import ATNN, TowerConfig
+from repro.core.registry import available_models, build_model
+from repro.core.trainer import ATNNTrainer
 from repro.nn import (
     Tensor,
     check_gradients,
     default_dtype,
+    fused_cross,
     fused_embedding_bag,
-    fused_linear_relu,
     use_sparse_grads,
 )
-from repro.nn.arena import BufferArena, use_arena
-from repro.nn.fusion import fuse, fusion_hits, reset_fusion_hits
 from repro.nn.layers import (
     MLP,
+    CrossLayer,
+    CrossNetwork,
     FeatureEmbeddings,
-    FusedFeatureEmbeddings,
-    FusedMLP,
     Linear,
 )
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam
 from repro.nn.sparse import SparseGrad
+from repro.obs.autograd import AutogradProfiler
+from tests.nn.reference_ops import (
+    bce_logits_chain,
+    cross_chain,
+    cross_network_chain,
+    embedding_bank_chain,
+    mlp_chain,
+)
 
 DTYPES = [np.float64, np.float32]  # repro-lint: disable=ATN002 -- parity matrix runs both precisions on purpose
 
@@ -45,77 +58,136 @@ def _tolerances(dtype):
     )
 
 
-# ----------------------------------------------------------------------
-# fused_linear_relu
-# ----------------------------------------------------------------------
-class TestFusedLinearRelu:
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_matches_unfused(self, rng, dtype):
-        x_data = rng.standard_normal((6, 5)).astype(dtype)
-        w_data = rng.standard_normal((5, 3)).astype(dtype)
-        b_data = rng.standard_normal(3).astype(dtype)
+def _forward_and_grads(module, run, inputs):
+    """Run ``run()`` (sum-reduced) and collect output plus every gradient."""
+    for tensor in [*module.parameters(), *inputs]:
+        tensor.zero_grad()
+    out = run()
+    out.sum().backward()
+    grads = [np.asarray(t.grad) for t in [*module.parameters(), *inputs]]
+    return out.data, grads
 
-        def run(fused):
-            x = Tensor(x_data.copy(), requires_grad=True)
-            w = Tensor(w_data.copy(), requires_grad=True)
-            b = Tensor(b_data.copy(), requires_grad=True)
-            if fused:
-                out = fused_linear_relu(x, w, b)
-            else:
-                out = (x @ w + b).relu()
-            out.sum().backward()
-            return out.data, [x.grad, w.grad, b.grad]
 
-        fused_out, fused_grads = run(True)
-        plain_out, plain_grads = run(False)
-        np.testing.assert_array_equal(fused_out, plain_out)
-        for fused_grad, plain_grad in zip(fused_grads, plain_grads):
-            np.testing.assert_allclose(
-                fused_grad, plain_grad, **_tolerances(dtype)
-            )
-
-    def test_numerical_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        b = Tensor(rng.standard_normal(2), requires_grad=True)
-        check_gradients(lambda: fused_linear_relu(x, w, b).sum(), [x, w, b])
+def _assert_parity(fused, reference, dtype):
+    fused_out, fused_grads = fused
+    plain_out, plain_grads = reference
+    np.testing.assert_array_equal(fused_out, plain_out)
+    assert len(fused_grads) == len(plain_grads)
+    for fused_grad, plain_grad in zip(fused_grads, plain_grads):
+        np.testing.assert_allclose(fused_grad, plain_grad, **_tolerances(dtype))
 
 
 # ----------------------------------------------------------------------
-# fused MLP stack
+# MLP: one fused_mlp node for Linear/(ReLU|Identity) stacks
 # ----------------------------------------------------------------------
 class TestFusedMLP:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_matches_unfused(self, rng, dtype):
         x_data = rng.standard_normal((8, 6)).astype(dtype)
-        with default_dtype(dtype):
-            mlp = MLP(6, (5, 4), rng=np.random.default_rng(7))
-            mlp.to_dtype(dtype)
-            fused, reason = FusedMLP.from_mlp(mlp)
-            assert fused is not None, reason
+        for output_activation in ("relu", "identity"):
+            with default_dtype(dtype):
+                mlp = MLP(
+                    6, (5, 4), output_activation=output_activation,
+                    rng=np.random.default_rng(7),
+                )
+                mlp.to_dtype(dtype)
+                x = Tensor(x_data.copy(), requires_grad=True)
+                fused = _forward_and_grads(mlp, lambda: mlp(x), [x])
+                reference = _forward_and_grads(
+                    mlp, lambda: mlp_chain(mlp, x), [x]
+                )
+            _assert_parity(fused, reference, dtype)
 
-            def run(model):
-                for param in model.parameters():
-                    param.zero_grad()
-                out = model(Tensor(x_data.copy()))
-                out.sum().backward()
-                return out.data, [np.asarray(p.grad) for p in model.parameters()]
+    def test_records_one_fused_node(self, rng):
+        mlp = MLP(4, (6, 5, 3), output_activation="identity", rng=rng)
+        with AutogradProfiler() as profiler:
+            mlp(Tensor(rng.standard_normal((3, 4))))
+        assert {op: s.calls for op, s in profiler.report().items()} == {
+            "fused_mlp": 1
+        }
 
-            plain_out, plain_grads = run(mlp)
-            fused_out, fused_grads = run(fused)
-        np.testing.assert_array_equal(fused_out, plain_out)
-        for fused_grad, plain_grad in zip(fused_grads, plain_grads):
-            np.testing.assert_allclose(
-                fused_grad, plain_grad, **_tolerances(dtype)
-            )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dropout": 0.5}, {"output_activation": "sigmoid"}, {"activation": "tanh"}],
+        ids=["dropout", "sigmoid", "tanh"],
+    )
+    def test_stacks_the_kernel_cannot_express_run_the_chain(self, rng, kwargs):
+        mlp = MLP(4, (6, 3), rng=np.random.default_rng(2), **kwargs)
+        mlp.eval()
+        x = Tensor(rng.standard_normal((5, 4)))
+        with AutogradProfiler() as profiler:
+            out = mlp(x)
+        assert "fused_mlp" not in profiler.report()
+        np.testing.assert_array_equal(out.data, mlp_chain(mlp, x).data)
 
-    def test_shares_parameters_with_wrapped_mlp(self):
-        mlp = MLP(4, (3,), rng=np.random.default_rng(0))
-        fused, _ = FusedMLP.from_mlp(mlp)
-        assert [id(p) for p in fused.parameters()] == [
-            id(p) for p in mlp.parameters()
+    def test_rejects_non_2d_input(self, rng):
+        mlp = MLP(4, (3,), rng=rng)
+        with pytest.raises(ValueError, match="2-D input with 4 features"):
+            mlp(Tensor(rng.standard_normal((2, 3, 4))))
+        with pytest.raises(ValueError, match="2-D input with 4 features"):
+            mlp(Tensor(rng.standard_normal((2, 5))))
+
+    def test_numerical_gradcheck(self, rng):
+        mlp = MLP(3, (4, 2), output_activation="identity", rng=rng)
+        x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        check_gradients(
+            lambda: (mlp(x) ** 2).sum(), [x] + mlp.parameters(),
+            rtol=1e-3, atol=1e-5,
+        )
+
+    def test_state_dict_paths_unchanged(self):
+        mlp = MLP(4, (3, 2), rng=np.random.default_rng(0))
+        assert list(mlp.state_dict()) == [
+            "layers.0.weight", "layers.0.bias", "layers.2.weight", "layers.2.bias"
         ]
-        assert fused.state_dict().keys() == mlp.state_dict().keys()
+        # A checkpoint written by any MLP of this shape loads, and the
+        # fused forward then runs on the loaded weights.
+        donor = MLP(4, (3, 2), rng=np.random.default_rng(1))
+        mlp.load_state_dict(donor.state_dict())
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 4)))
+        np.testing.assert_array_equal(mlp(x).data, donor(x).data)
+
+
+# ----------------------------------------------------------------------
+# CrossLayer / CrossNetwork: one fused_cross node per layer
+# ----------------------------------------------------------------------
+class TestFusedCross:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_network_matches_unfused(self, rng, dtype):
+        with default_dtype(dtype):
+            network = CrossNetwork(5, 3, rng=np.random.default_rng(4))
+            network.to_dtype(dtype)
+            # Non-zero biases so every parent gradient is exercised.
+            for layer in network.layers:
+                layer.bias.assign_(rng.standard_normal(5).astype(dtype))
+            x = Tensor(rng.standard_normal((7, 5)).astype(dtype), requires_grad=True)
+            fused = _forward_and_grads(network, lambda: network(x), [x])
+            reference = _forward_and_grads(
+                network, lambda: cross_network_chain(network, x), [x]
+            )
+        _assert_parity(fused, reference, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_layer_with_distinct_inputs_matches_unfused(self, rng, dtype):
+        with default_dtype(dtype):
+            layer = CrossLayer(4, rng=np.random.default_rng(6))
+            layer.to_dtype(dtype)
+            x0 = Tensor(rng.standard_normal((6, 4)).astype(dtype), requires_grad=True)
+            x = Tensor(rng.standard_normal((6, 4)).astype(dtype), requires_grad=True)
+            fused = _forward_and_grads(layer, lambda: layer(x0, x), [x0, x])
+            reference = _forward_and_grads(
+                layer, lambda: cross_chain(layer, x0, x), [x0, x]
+            )
+        _assert_parity(fused, reference, dtype)
+
+    def test_numerical_gradcheck(self, rng):
+        x0 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        check_gradients(
+            lambda: (fused_cross(x0, x, w, b) ** 2).sum(), [x0, x, w, b]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +252,7 @@ class TestFusedBCELogits:
         fused_loss.backward()
 
         plain_z = Tensor(z_data.copy(), requires_grad=True)
-        y = Tensor(targets)
-        plain_loss = (
-            plain_z.relu() - plain_z * y + (1.0 + (-plain_z.abs()).exp()).log()
-        ).mean()
+        plain_loss = bce_logits_chain(plain_z, targets)
         plain_loss.backward()
 
         np.testing.assert_allclose(
@@ -195,7 +264,7 @@ class TestFusedBCELogits:
 
 
 # ----------------------------------------------------------------------
-# fused embedding bag
+# FeatureEmbeddings: one fused_embedding_bag node for multi-feature banks
 # ----------------------------------------------------------------------
 class TestFusedEmbeddingBag:
     VOCABS = {"user": 50, "item": 30, "cat": 7}
@@ -213,31 +282,53 @@ class TestFusedEmbeddingBag:
         features = self._features(rng)
         upstream = rng.standard_normal((16, sum(self.DIMS.values()))).astype(dtype)
 
-        def run(fused):
-            with default_dtype(dtype):
-                bank = FeatureEmbeddings(
-                    self.VOCABS, self.DIMS, rng=np.random.default_rng(3)
-                )
-                bank.to_dtype(dtype)
-                if fused:
-                    bank = FusedFeatureEmbeddings.from_bank(bank)
-                with use_sparse_grads(sparse):
-                    out = bank(features)
-                    (out * Tensor(upstream)).sum().backward()
-            return out.data, [np.asarray(p.grad) for p in bank.parameters()]
+        with default_dtype(dtype):
+            bank = FeatureEmbeddings(
+                self.VOCABS, self.DIMS, rng=np.random.default_rng(3)
+            )
+            bank.to_dtype(dtype)
 
-        fused_out, fused_grads = run(True)
-        plain_out, plain_grads = run(False)
-        np.testing.assert_array_equal(fused_out, plain_out)
-        for fused_grad, plain_grad in zip(fused_grads, plain_grads):
-            np.testing.assert_allclose(
-                fused_grad, plain_grad, **_tolerances(dtype)
+        def run(forward):
+            bank.zero_grad()
+            with use_sparse_grads(sparse):
+                out = forward(features)
+                (out * Tensor(upstream)).sum().backward()
+            grads = [p.grad for p in bank.parameters()]
+            assert all(isinstance(g, SparseGrad) == sparse for g in grads)
+            return out.data, [np.asarray(g) for g in grads]
+
+        _assert_parity(
+            run(bank), run(lambda f: embedding_bank_chain(bank, f)), dtype
+        )
+
+    def test_records_one_fused_node(self, rng):
+        bank = FeatureEmbeddings(self.VOCABS, self.DIMS, rng=rng)
+        with AutogradProfiler() as profiler:
+            bank(self._features(rng))
+        assert {op: s.calls for op, s in profiler.report().items()} == {
+            "fused_embedding_bag": 1
+        }
+
+    def test_single_feature_bank_is_a_plain_lookup(self, rng):
+        bank = FeatureEmbeddings({"user": 40}, {"user": 4}, rng=rng)
+        with AutogradProfiler() as profiler:
+            bank({"user": rng.integers(0, 40, size=8)})
+        assert {op: s.calls for op, s in profiler.report().items()} == {
+            "embedding_lookup": 1
+        }
+
+    def test_numerical_gradcheck(self, rng):
+        bank = FeatureEmbeddings(self.VOCABS, self.DIMS, rng=rng)
+        features = self._features(rng, batch=5)
+        upstream = rng.standard_normal((5, sum(self.DIMS.values())))
+        with use_sparse_grads(False):
+            check_gradients(
+                lambda: (bank(features) * Tensor(upstream)).sum(),
+                bank.parameters(),
             )
 
     def test_sparse_backward_emits_sparse_grads(self, rng):
-        bank = FusedFeatureEmbeddings.from_bank(
-            FeatureEmbeddings(self.VOCABS, self.DIMS, rng=rng)
-        )
+        bank = FeatureEmbeddings(self.VOCABS, self.DIMS, rng=rng)
         with use_sparse_grads(True):
             bank(self._features(rng)).sum().backward()
         for param in bank.parameters():
@@ -287,7 +378,7 @@ class TestFusedEmbeddingBag:
 
 
 # ----------------------------------------------------------------------
-# the fuse() substitution pass
+# training on the fused layers
 # ----------------------------------------------------------------------
 class _BankAndHead(Module):
     def __init__(self, vocabs, dims, rng):
@@ -298,70 +389,24 @@ class _BankAndHead(Module):
     def forward(self, features):
         return self.head(self.embeddings(features)).reshape((-1,))
 
-
-class TestFusePass:
-    VOCABS = {"user": 40, "item": 25}
-    DIMS = {"user": 4, "item": 3}
-
-    def _model(self):
-        return _BankAndHead(self.VOCABS, self.DIMS, np.random.default_rng(5))
-
-    def test_substitutes_embedding_bank(self):
-        model = self._model()
-        report = fuse(model)
-        assert isinstance(model.embeddings, FusedFeatureEmbeddings)
-        assert ("embeddings", "fused_embedding_bag") in report.replaced
-
-    def test_preserves_state_dict_and_parameter_identity(self):
-        model = self._model()
-        before_keys = list(model.state_dict())
-        before_params = [id(p) for p in model.parameters()]
-        fuse(model)
-        assert list(model.state_dict()) == before_keys
-        assert [id(p) for p in model.parameters()] == before_params
-
-    def test_idempotent(self):
-        model = self._model()
-        first = fuse(model)
-        second = fuse(model)
-        assert first.num_replaced >= 1
-        assert second.num_replaced == 0
-
-    def test_counts_fusion_hits(self, rng):
-        model = self._model()
-        fuse(model)
-        reset_fusion_hits()
-        features = {
-            name: rng.integers(0, size, size=8)
-            for name, size in self.VOCABS.items()
-        }
-        model(features)
-        model(features)
-        assert fusion_hits()["embedding_bag"] == 2
-
-    def test_single_feature_bank_left_alone(self):
-        model = _BankAndHead({"user": 40}, {"user": 4}, np.random.default_rng(5))
-        report = fuse(model)
-        assert not isinstance(model.embeddings, FusedFeatureEmbeddings)
-        assert all(path != "embeddings" for path, _ in report.replaced)
+    def forward_chain(self, features):
+        return self.head(embedding_bank_chain(self.embeddings, features)).reshape(
+            (-1,)
+        )
 
 
-# ----------------------------------------------------------------------
-# fused training under the sanitizer and the arena
-# ----------------------------------------------------------------------
 class TestFusedUnderSanitizer:
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_fused_arena_train_steps_stay_clean(self, rng, dtype):
+    def test_fused_train_steps_stay_clean(self, rng, dtype):
         vocabs = {"user": 60, "item": 40, "cat": 9}
         dims = {"user": 4, "item": 4, "cat": 2}
         with default_dtype(dtype):
             model = _BankAndHead(vocabs, dims, np.random.default_rng(11))
             model.to_dtype(dtype)
-            fuse(model)
             optimizer = Adam(model.parameters(), lr=1e-3)
             labels = (rng.random(32) < 0.4).astype(dtype)
             sanitizer = GradSanitizer(track_nonfinite=True)
-            with use_sparse_grads(True), use_arena(BufferArena()), sanitizer:
+            with use_sparse_grads(True), sanitizer:
                 for _ in range(4):
                     optimizer.zero_grad()
                     features = {
@@ -376,7 +421,7 @@ class TestFusedUnderSanitizer:
                     assert np.isfinite(loss.item())
 
     def test_fused_and_unfused_training_match(self, rng):
-        """Four optimizer steps, fused vs unfused: same final weights."""
+        """Four optimizer steps, fused vs op chain: same final weights."""
         vocabs = {"user": 30, "item": 20}
         dims = {"user": 3, "item": 2}
         batches = [
@@ -385,25 +430,76 @@ class TestFusedUnderSanitizer:
         ]
         labels = (rng.random(16) < 0.5).astype(float)
 
-        def train(fused):
+        def train(chain):
             model = _BankAndHead(vocabs, dims, np.random.default_rng(21))
-            if fused:
-                fuse(model)
+            forward = model.forward_chain if chain else model
             optimizer = Adam(model.parameters(), lr=1e-2)
             with use_sparse_grads(True):
                 for features in batches:
                     optimizer.zero_grad()
                     loss = binary_cross_entropy_with_logits(
-                        model(features), labels
+                        forward(features), labels
                     )
                     loss.backward()
                     optimizer.step()
             return model.state_dict()
 
-        fused_state = train(True)
-        plain_state = train(False)
+        fused_state = train(chain=False)
+        plain_state = train(chain=True)
         assert fused_state.keys() == plain_state.keys()
         for key, fused_value in fused_state.items():
             np.testing.assert_allclose(
                 fused_value, plain_state[key], rtol=1e-9, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("name", available_models())
+def test_registry_model_matches_op_chains(monkeypatch, name, dtype):
+    """Every path of every registry model, fused layers vs op chains."""
+    schema = demo_schema()
+    config = TowerConfig(
+        vector_dim=8, deep_dims=(16, 8), head_dims=(16,), num_cross_layers=2
+    )
+    with default_dtype(dtype):
+        model = build_model(name, schema, config, rng=np.random.default_rng(3))
+        model.to_dtype(dtype)
+        features = schema_inputs(schema, 12, np.random.default_rng(4))
+
+    def run_paths():
+        results = []
+        with default_dtype(dtype):
+            for path in default_paths(model):
+                model.zero_grad()
+                out = path.run(model, features)
+                out.sum().backward()
+                grads = [
+                    np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad)
+                    for p in model.parameters()
+                ]
+                results.append((out.data, grads))
+        return results
+
+    fused = run_paths()
+    monkeypatch.setattr(MLP, "forward", mlp_chain)
+    monkeypatch.setattr(CrossLayer, "forward", cross_chain)
+    monkeypatch.setattr(FeatureEmbeddings, "forward", embedding_bank_chain)
+    for fused_path, reference_path in zip(fused, run_paths()):
+        _assert_parity(fused_path, reference_path, dtype)
+
+
+def test_default_atnn_training_step_runs_fused(tiny_tmall_world):
+    """The DCN towers must not silently fall back to the op chain."""
+    world = tiny_tmall_world
+    model = ATNN(world.schema, TowerConfig(), rng=np.random.default_rng(0))
+    step = world.interactions.subset(np.arange(64))
+    with AutogradProfiler() as profiler:
+        ATNNTrainer(epochs=1, batch_size=64).fit(model, step)
+    ops = profiler.report()
+    for op in ("fused_mlp", "fused_cross", "fused_embedding_bag"):
+        assert ops[op].calls > 0, op
+    # ATNN's only MLPs are the tower MLPs, and its head is a weighted dot
+    # product: a relu or matmul node here means a tower layer ran its
+    # op chain.
+    assert "relu" not in ops
+    assert "matmul" not in ops
