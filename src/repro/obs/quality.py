@@ -373,6 +373,13 @@ class ColdStartTracker:
             for name, (fill, dtype) in self._COLUMNS.items()
         }
         self._bind_views()
+        # Running scan results, so snapshots cost O(1): slots with a first
+        # impression, slots past the warm threshold, and the sum and count
+        # of the non-NaN latest divergences.  New slots add to none.
+        self._items_seen = 0
+        self._warm_items = 0
+        self._divergence_sum = 0.0
+        self._divergence_count = 0
         self._divergence_samples: List[float] = []
         self._sample_capacity = sample_capacity
         self._sample_stride = 1
@@ -387,6 +394,8 @@ class ColdStartTracker:
 
         Existing slots keep their lifecycle state (release and
         first-impression times, impressions, warm crossing, divergence).
+        New slots start unseen, cold and unsampled, so the running
+        ``items_seen``/``warm_items``/divergence totals stay as they are.
         """
         if n_new < 1:
             raise ValueError(f"n_new must be >= 1, got {n_new}")
@@ -427,6 +436,8 @@ class ColdStartTracker:
             first_positions[fresh]
         ]
         self._impressions[unique_items] = updated
+        self._warm_items += int(np.count_nonzero(crossed))
+        self._items_seen += int(np.count_nonzero(fresh))
 
     def observe_divergence(
         self, slots: np.ndarray, divergences: np.ndarray
@@ -434,7 +445,17 @@ class ColdStartTracker:
         """Record ``1 - cosine`` divergences sampled at a refresh."""
         slots = np.asarray(slots, dtype=np.int64)
         divergences = np.asarray(divergences, dtype=float)
+        # Unique slots read the latest value before and after the write,
+        # so a slot listed twice (last write wins) is counted once.
+        unique_slots = np.unique(slots)
+        previous = self._last_divergence[unique_slots]
         self._last_divergence[slots] = divergences
+        latest = self._last_divergence[unique_slots]
+        self._divergence_sum += float(np.nansum(latest) - np.nansum(previous))
+        self._divergence_count += int(
+            np.count_nonzero(~np.isnan(latest))
+            - np.count_nonzero(~np.isnan(previous))
+        )
         # Bounded sample (stride decimation, as Histogram does) for
         # stable percentile summaries over the whole run.
         for value in divergences:
@@ -450,18 +471,18 @@ class ColdStartTracker:
     @property
     def items_seen(self) -> int:
         """Slots with at least one impression."""
-        return int(np.sum(~np.isnan(self._first_impression)))
+        return self._items_seen
 
     @property
     def warm_items(self) -> int:
         """Slots that have crossed the warm threshold."""
-        return int(np.sum(self._warm_at >= 0))
+        return self._warm_items
 
     def divergence_mean(self) -> Optional[float]:
         """Mean of the latest divergence per sampled slot."""
-        if np.all(np.isnan(self._last_divergence)):
+        if not self._divergence_count:
             return None
-        return float(np.nanmean(self._last_divergence))
+        return self._divergence_sum / self._divergence_count
 
     @staticmethod
     def _stats(values: np.ndarray) -> Optional[Dict[str, float]]:

@@ -35,11 +35,13 @@ from repro.obs.quality import get_active_monitor
 from repro.obs.slo import get_active_slo_tracker
 from repro.obs.tracing import maybe_span
 from repro.retrieval import MIPSIndex, make_index
-from repro.serving.events import Event, event_columns
+from repro.serving.events import KIND_CODES, Event, EventKind, event_columns
 from repro.serving.feature_store import ItemStatisticsStore
 from repro.utils.buffers import grow_rows
 
 __all__ = ["EngineConfig", "RealTimeEngine"]
+
+_VIEW = KIND_CODES[EventKind.VIEW]
 
 
 @contextmanager
@@ -161,9 +163,14 @@ class RealTimeEngine:
         self._generator_key: Optional[list] = None
         self._fresh = False
         self._dirty: set = set()
+        # Slots at or past warm_view_threshold, counted as ingest sees
+        # them cross it (views only grow, and arrivals start at zero).
+        self._n_warm = 0
         # Cached top-k order: the best `_order_k` slots from the MIPS
-        # index, serving any `k <= _order_k` as a slice.
+        # index and their inner products with the popularity query,
+        # serving any `k <= _order_k` as a slice.
         self._order: Optional[np.ndarray] = None
+        self._order_scores: Optional[np.ndarray] = None
         self._order_k = 0
         self._index: Optional[MIPSIndex] = None
         self._events_seen = 0
@@ -181,7 +188,19 @@ class RealTimeEngine:
             applied = self.store.ingest(events, columns=columns)
             self._events_seen += applied
             if applied:
-                self._dirty.update(np.unique(columns[1]).tolist())
+                kinds, items = columns[0], columns[1]
+                touched, inverse = np.unique(items, return_inverse=True)
+                views = self.store.views(touched)
+                viewed = np.bincount(
+                    inverse[kinds == _VIEW], minlength=touched.size
+                )
+                threshold = self.config.warm_view_threshold
+                self._n_warm += int(
+                    np.count_nonzero(
+                        (views >= threshold) & (views - viewed < threshold)
+                    )
+                )
+                self._dirty.update(touched.tolist())
             self._fresh = False
             # The cached top-k order is NOT invalidated here: the next
             # refresh drops it only if scores actually changed (events on
@@ -290,10 +309,14 @@ class RealTimeEngine:
         catalogue.  Subsequent calls reuse the cached generator vectors —
         profiles are static — and run the encoder only for *stale* slots:
         warm slots that received events since the last refresh (a slot
-        crossing the warm threshold is by construction dirty).  Because the
-        statistics store standardises columns over all trafficked slots,
-        incremental refreshes approximate untouched warm slots with their
-        previous vectors; call ``refresh(full=True)`` for an exact pass.
+        crossing the warm threshold is by construction dirty).  Stale
+        slots are found from the set of slots ingested since the last
+        refresh, and the warm count is kept as ``ingest`` sees slots cross
+        the threshold, so an incremental refresh costs O(touched slots),
+        not O(catalogue).  Because the statistics store standardises
+        columns over all trafficked slots, incremental refreshes
+        approximate untouched warm slots with their previous vectors;
+        call ``refresh(full=True)`` for an exact pass.
 
         A full pass re-standardises and re-encodes every warm slot and
         re-scores the catalogue.  It runs the generator over the whole
@@ -315,20 +338,16 @@ class RealTimeEngine:
         n = len(self.catalogue)
         full = full or self._generator_vectors is None
 
+        threshold = self.config.warm_view_threshold
         with _inference(self.model), maybe_span("engine.refresh"):
-            warm = self.store.warm_slots(self.config.warm_view_threshold)
             if full:
                 # Statistic columns default to zero (cold) ...
                 self._refresh_generator_vectors(n)
                 item_vectors = self._generator_vectors.copy()
-                stale = warm
+                stale = self.store.warm_slots(threshold)
             else:
-                warm_mask = np.zeros(n, dtype=bool)
-                warm_mask[warm] = True
-                stale = np.array(
-                    sorted(s for s in self._dirty if warm_mask[s]),
-                    dtype=np.int64,
-                )
+                dirty = np.fromiter(self._dirty, np.int64, len(self._dirty))
+                stale = np.sort(dirty[self.store.views(dirty) >= threshold])
                 item_vectors = self._item_vectors
             if stale.size:
                 # ... and stale warm slots get live statistics + encoder
@@ -381,20 +400,19 @@ class RealTimeEngine:
         elif not full and stale.size:
             self._index.update(stale, item_vectors[stale])
         if full or stale.size:
-            self._order = None
+            self._order = self._order_scores = None
             self._order_k = 0
         self._dirty.clear()
         self._fresh = True
         self._refreshes += 1
         ctx.note("full_refresh", bool(full))
-        ctx.note("warm_items", int(warm.size))
+        ctx.note("warm_items", self._n_warm)
         ctx.note("slots_rescored", int(stale.size))
         registry = get_active_registry()
         if registry is not None:
-            n_warm = int(warm.size)
             registry.counter("engine.refreshes").inc()
-            registry.counter("engine.warm_path_items").inc(n_warm)
-            registry.counter("engine.cold_path_items").inc(n - n_warm)
+            registry.counter("engine.warm_path_items").inc(self._n_warm)
+            registry.counter("engine.cold_path_items").inc(n - self._n_warm)
             registry.counter("engine.slots_rescored").inc(int(stale.size))
             registry.histogram("engine.refresh_seconds").observe(
                 time.perf_counter() - start
@@ -433,7 +451,9 @@ class RealTimeEngine:
         Served through the MIPS index (``config.index_kind``): exact with
         the brute-force index, approximate-but-fast with IVF.  The order
         for the largest ``k`` seen since scores last changed is cached,
-        so any ``k <= cached_k`` between ingests costs a slice.
+        with the inner products the index returned, so any
+        ``k <= cached_k`` costs a slice.  A refresh that changes scores
+        drops the cache; :meth:`add_arrivals` merges the new rows into it.
         """
         with request_scope("top_k") as ctx:
             scores = self.scores()
@@ -444,8 +464,9 @@ class RealTimeEngine:
             ctx.note("order_cache_hit", hit)
             if not hit:
                 with maybe_span("engine.rank"):
-                    ids, _ = self._index.search(self._popularity_query(), k)
-                    self._order = ids
+                    self._order, self._order_scores = self._index.search(
+                        self._popularity_query(), k
+                    )
                     self._order_k = k
             served = self._order[:k]
             ctx.note("served_slots", int(served.size))
@@ -483,6 +504,11 @@ class RealTimeEngine:
         the score vector is copied, because earlier ``scores()`` results
         must not change.  A :class:`FeatureTable` taken from ``catalogue``
         before the call keeps its rows and length.
+
+        A cached top-k order survives: the new rows are scored against
+        the popularity query and the best ``k`` of the cached order and
+        the new rows are kept, which with the brute-force index is the
+        exact top-k of the grown catalogue.
         """
         with request_scope("add_arrivals") as ctx:
             n_new = len(arrivals)
@@ -529,9 +555,8 @@ class RealTimeEngine:
                         "index ids drifted from catalogue slots: "
                         f"{assigned[0]} != {start_slot}"
                     )
-                # New items can enter the top-k: the cached order is stale.
-                self._order = None
-                self._order_k = 0
+                if self._order is not None:
+                    self._merge_into_order(slots, vectors)
             ctx.note("items_added", int(n_new))
             ctx.note("catalogue_size", len(self.catalogue))
             registry = get_active_registry()
@@ -543,6 +568,24 @@ class RealTimeEngine:
                     len(self.catalogue), self.config.warm_view_threshold
                 )
             return slots
+
+    def _merge_into_order(self, slots: np.ndarray, vectors: np.ndarray) -> None:
+        """Keep the best ``_order_k`` of the cached order and new rows.
+
+        New rows are scored as the index scores them: in its dtype,
+        against the popularity query.  Nothing else changed since the
+        cache was filled (a score change drops it), so with brute force
+        the merge is the exact top-k of the grown catalogue; with IVF it
+        can only add recall.
+        """
+        dtype = self._index.dtype
+        query = np.asarray(self._popularity_query(), dtype=dtype)
+        ids = np.concatenate([self._order, slots])
+        scores = np.concatenate(
+            [self._order_scores, np.asarray(vectors, dtype=dtype) @ query]
+        )
+        best = np.argsort(-scores, kind="stable")[: self._order_k]
+        self._order, self._order_scores = ids[best], scores[best]
 
     def recommend_for_user(
         self, user_features: Dict[str, np.ndarray], k: int

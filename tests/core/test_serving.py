@@ -309,6 +309,32 @@ class TestTopKCache:
         engine.scores()  # refresh runs, but no slot was re-scored
         assert engine._order is cached
 
+    def test_order_survives_arrivals_and_admits_a_better_item(
+        self, engine, monkeypatch
+    ):
+        """add_arrivals merges new rows into the cached order, so a new
+        item scoring above the k-th enters it without an index search."""
+        top = engine.top_k(5)
+        names = engine.model.schema.all_column_names("item_profile")
+        # A copy of the best item scores with it, above the 5th.
+        copy = type(engine.catalogue)(
+            {name: engine.catalogue[name][top[:1]] for name in names}
+        )
+        searches = []
+        search = engine.index.search
+        monkeypatch.setattr(
+            engine.index,
+            "search",
+            lambda *args: searches.append(args) or search(*args),
+        )
+        (slot,) = engine.add_arrivals(copy)
+        assert engine._order is not None and engine._order_k == 5
+        merged = engine.top_k(5)
+        assert searches == []
+        assert slot in merged
+        scores = engine.scores()
+        np.testing.assert_allclose(scores[merged], np.sort(scores)[::-1][:5])
+
     def test_top_k_validation_bounds(self, engine):
         scores = engine.scores()
         with pytest.raises(ValueError):

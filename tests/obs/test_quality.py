@@ -197,6 +197,38 @@ class TestColdStartTracker:
         with pytest.raises(ValueError):
             ColdStartTracker(3).grow(0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_running_totals_match_scans(self, seed):
+        """items_seen, warm_items and divergence_mean are running values;
+        through random impressions, divergences and growth they equal
+        scans of the per-slot columns."""
+        rng = np.random.default_rng(seed)
+        tracker = ColdStartTracker(5, warm_view_threshold=4)
+        for _ in range(150):
+            action = rng.integers(3)
+            if action == 0:
+                items = rng.integers(0, tracker.n_slots, size=rng.integers(0, 12))
+                tracker.observe_impressions(items, rng.random(items.size))
+            elif action == 1:
+                # Repeated slots (last write wins) and NaN samples.
+                slots = rng.integers(0, tracker.n_slots, size=rng.integers(1, 6))
+                values = rng.random(slots.size)
+                values[rng.random(slots.size) < 0.2] = np.nan
+                tracker.observe_divergence(slots, values)
+            else:
+                tracker.grow(int(rng.integers(1, 4)))
+            assert tracker.items_seen == np.count_nonzero(
+                ~np.isnan(tracker._first_impression)
+            )
+            assert tracker.warm_items == np.count_nonzero(tracker._warm_at >= 0)
+            latest = tracker._last_divergence
+            if np.all(np.isnan(latest)):
+                assert tracker.divergence_mean() is None
+            else:
+                assert tracker.divergence_mean() == pytest.approx(
+                    float(np.nanmean(latest)), rel=1e-12, abs=1e-12
+                )
+
 
 class TestQualityMonitor:
     def _batch(self, item, user, t, clicked):
