@@ -1,22 +1,28 @@
 """Maximum-inner-product retrieval over two-tower item embeddings.
 
 The serving engine and the retrieval-training evaluator share this one
-subsystem: :class:`BruteForceIndex` is the exactness oracle (dense
-matmul + ``argpartition``), :class:`IVFIndex` the approximate
-partitioned index that scales top-k to million-item catalogues.  See
-``docs/retrieval.md`` for the design and the measured recall/latency
-trade-off.
+subsystem: :class:`BruteForceIndex` is the exactness oracle (a float32
+scan, then float64 re-scoring of a certified candidate set),
+:class:`IVFIndex` the approximate partitioned index that scales top-k
+to million-item catalogues.  See ``docs/retrieval.md`` for the design
+and the measured recall/latency trade-off.
 """
 
 from typing import Optional
 
-from repro.retrieval.index import BruteForceIndex, MIPSIndex, recall_at_k
+from repro.retrieval.index import (
+    BruteForceIndex,
+    MIPSIndex,
+    exact_scores,
+    recall_at_k,
+)
 from repro.retrieval.ivf import IVFIndex
 
 __all__ = [
     "MIPSIndex",
     "BruteForceIndex",
     "IVFIndex",
+    "exact_scores",
     "make_index",
     "recall_at_k",
 ]

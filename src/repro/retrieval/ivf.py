@@ -227,7 +227,7 @@ class IVFIndex(MIPSIndex):
     # ------------------------------------------------------------------
     def rebuild(self, vectors: np.ndarray) -> None:
         """Replace the index contents; ids reset to ``0..n-1``."""
-        vectors = self._coerce_vectors(vectors)
+        vectors, _ = self._coerce_vectors(vectors)
         with maybe_span("index.build"):
             if vectors.shape[0] >= max(self.train_floor, self.nlist):
                 self._set_centroids(self._train_quantizer(vectors, self.nlist))
@@ -266,7 +266,7 @@ class IVFIndex(MIPSIndex):
         self._ntotal = n
 
     def add(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = self._coerce_vectors(vectors)
+        vectors, _ = self._coerce_vectors(vectors)
         with maybe_span("index.insert"):
             start_id = self._ntotal
             ids = np.arange(
@@ -292,7 +292,7 @@ class IVFIndex(MIPSIndex):
 
     def update(self, ids: np.ndarray, vectors: np.ndarray) -> None:
         ids = self._coerce_ids(ids)
-        vectors = self._coerce_vectors(vectors)
+        vectors, _ = self._coerce_vectors(vectors)
         if vectors.shape[0] != ids.size:
             raise ValueError(
                 f"ids/vectors length mismatch: {ids.size} vs {vectors.shape[0]}"
@@ -511,7 +511,7 @@ class IVFIndex(MIPSIndex):
             candidate_ids.append(self._part_ids[part][:size])
         flat_scores = np.concatenate(candidate_scores)
         flat_ids = np.concatenate(candidate_ids)
-        top = _top_k_desc(flat_scores, k)
+        top = _top_k_desc(flat_scores, k, flat_ids)
         out_ids[:] = flat_ids[top]
         out_scores[:] = flat_scores[top]
         return int(probe)

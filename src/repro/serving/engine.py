@@ -34,7 +34,7 @@ from repro.obs.metrics import get_active_registry
 from repro.obs.quality import get_active_monitor
 from repro.obs.slo import get_active_slo_tracker
 from repro.obs.tracing import maybe_span
-from repro.retrieval import MIPSIndex, make_index
+from repro.retrieval import MIPSIndex, exact_scores, make_index
 from repro.serving.events import KIND_CODES, Event, EventKind, event_columns
 from repro.serving.feature_store import ItemStatisticsStore
 from repro.utils.buffers import grow_rows
@@ -572,17 +572,21 @@ class RealTimeEngine:
     def _merge_into_order(self, slots: np.ndarray, vectors: np.ndarray) -> None:
         """Keep the best ``_order_k`` of the cached order and new rows.
 
-        New rows are scored as the index scores them: in its dtype,
-        against the popularity query.  Nothing else changed since the
-        cache was filled (a score change drops it), so with brute force
-        the merge is the exact top-k of the grown catalogue; with IVF it
-        can only add recall.
+        New rows are scored as the brute-force index ranks them:
+        :func:`~repro.retrieval.index.exact_scores` of the rows and the
+        popularity query as stored in the index dtype, returned in that
+        dtype.  Nothing else changed since the cache was filled (a score
+        change drops it), and the stable sort lets older slots win ties
+        as the index does, so with a float64 brute-force index the merge
+        is the exact top-k of the grown catalogue; with IVF it can only
+        add recall.
         """
         dtype = self._index.dtype
         query = np.asarray(self._popularity_query(), dtype=dtype)
+        fresh = exact_scores(np.asarray(vectors, dtype=dtype), query)
         ids = np.concatenate([self._order, slots])
         scores = np.concatenate(
-            [self._order_scores, np.asarray(vectors, dtype=dtype) @ query]
+            [self._order_scores, fresh.astype(dtype, copy=False)]
         )
         best = np.argsort(-scores, kind="stable")[: self._order_k]
         self._order, self._order_scores = ids[best], scores[best]
@@ -598,6 +602,10 @@ class RealTimeEngine:
             Single-row feature dict for the user (each column length 1).
         k:
             Number of recommendations.
+
+        A ``k`` outside ``[1, catalogue size]`` and a column that is not
+        exactly one row are a ``ValueError``, raised before the user
+        tower runs.
         """
         # No enclosing engine.recommend span: the request scope already
         # times the whole request, and this path runs hot enough that a
@@ -605,20 +613,29 @@ class RealTimeEngine:
         with request_scope("recommend") as ctx:
             start = time.perf_counter()
             self.scores()  # ensure vectors are fresh
-            names = self.model.schema.all_column_names(GROUP_USER)
-            missing = [name for name in names if name not in user_features]
-            if missing:
-                raise KeyError(f"missing user features: {missing}")
-            with _inference(self.model), maybe_span("user_tower"):
-                user_vector = self.model.user_vectors(
-                    {name: np.asarray(user_features[name])[:1] for name in names}
-                ).data[0]
-            head = self.model.scoring_head
             if not 1 <= k <= len(self._index):
                 raise ValueError(
                     f"k must be in [1, {len(self._index)}], got {k}"
                 )
+            names = self.model.schema.all_column_names(GROUP_USER)
+            missing = [name for name in names if name not in user_features]
+            if missing:
+                raise KeyError(f"missing user features: {missing}")
+            columns = {name: np.asarray(user_features[name]) for name in names}
+            shapes = {
+                name: column.shape
+                for name, column in columns.items()
+                if column.shape[:1] != (1,)
+            }
+            if shapes:
+                raise ValueError(
+                    "user features must be exactly one row, got shapes "
+                    f"{shapes}"
+                )
             ctx.note("k", int(k))
+            with _inference(self.model), maybe_span("user_tower"):
+                user_vector = self.model.user_vectors(columns).data[0]
+            head = self.model.scoring_head
             # Personalised top-k is a MIPS against this user's transformed
             # vector; bias + sigmoid are monotone so ranking by raw inner
             # product is the ranking by probability.

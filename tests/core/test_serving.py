@@ -178,6 +178,34 @@ class TestRealTimeEngine:
         with pytest.raises(KeyError):
             engine.recommend_for_user({"user_id": np.array([0])}, k=3)
 
+    def test_recommend_rejects_multi_row_features(self, engine, tiny_tmall_world):
+        two_rows = {
+            name: tiny_tmall_world.users[name][:2]
+            for name in tiny_tmall_world.schema.all_column_names("user")
+        }
+        with pytest.raises(ValueError, match="one row"):
+            engine.recommend_for_user(two_rows, k=3)
+
+    @pytest.mark.parametrize("k", [0, -1, 10_000])
+    def test_recommend_checks_k_before_the_user_tower(
+        self, engine, tiny_tmall_world, monkeypatch, k
+    ):
+        user_row = {
+            name: tiny_tmall_world.users[name][:1]
+            for name in tiny_tmall_world.schema.all_column_names("user")
+        }
+        engine.scores()
+        calls = []
+        original = engine.model.user_vectors
+        monkeypatch.setattr(
+            engine.model,
+            "user_vectors",
+            lambda features: calls.append(features) or original(features),
+        )
+        with pytest.raises(ValueError, match="k must be"):
+            engine.recommend_for_user(user_row, k=k)
+        assert calls == []
+
     def test_recommendations_personalised(self, engine, tiny_tmall_world):
         """Two users from different segments should not always agree."""
         world = tiny_tmall_world
