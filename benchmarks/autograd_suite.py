@@ -3,8 +3,8 @@
 Measures the sparse-gradient fast path against the legacy dense path on an
 embedding-heavy train step (large id vocabularies, batch 512) inside one
 process, plus the float32 compute mode, the runtime sanitizer's
-on-vs-off overhead, the serving engine's incremental refresh and the
-multi-process data-parallel trainer.  Every arm runs the fused layers
+on-vs-off overhead and the serving engine's incremental refresh.  Every
+arm runs the fused layers
 (``FeatureEmbeddings`` is one fused embedding-bag node).  Emits a JSON
 report consumed by the CI smoke job and per-op breakdowns (dense vs
 sparse) via the ``repro.obs`` autograd profiler.
@@ -13,11 +13,9 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/autograd_suite.py --preset smoke
 
-The regression check compares *speedup ratios* (sparse vs dense, N
-workers vs one — each measured inside the same run) rather than absolute wall-time, so a committed baseline remains
-meaningful across machines.  The parallel-scaling gate additionally
-requires enough CPUs to host the workers; on a one-core runner the arm
-still executes (correctness + overhead) but its ratio is informational::
+The regression check compares the sparse-vs-dense *speedup ratio*
+(measured inside one run) rather than absolute wall-time, so a committed
+baseline remains meaningful across machines::
 
     PYTHONPATH=src python benchmarks/autograd_suite.py --preset smoke \
         --baseline benchmarks/results/BENCH_autograd_smoke.json --max-regression 2.0
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -44,11 +41,6 @@ from repro.obs import AutogradProfiler
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-# Fraction of ideal linear scaling the data-parallel trainer must reach
-# when the machine has at least as many CPUs as workers: 0.625 * 4 = the
-# ">= 2.5x at 4 workers" acceptance target.
-PARALLEL_SCALING_FRACTION = 0.625
-
 PRESETS = {
     # Smoke: seconds, for CI. Default: the committed reference numbers.
     "smoke": {
@@ -59,14 +51,6 @@ PRESETS = {
         "warmup_steps": 2,
         "engine": {"n_users": 200, "n_items": 300, "n_new_items": 400,
                    "n_interactions": 4_000},
-        "parallel": {
-            "world": {"n_users": 500, "n_items": 400, "n_new_items": 100,
-                      "n_interactions": 6_000},
-            "workers": 2,
-            "batch_size": 256,
-            "tower": {"vector_dim": 16, "deep_dims": (32, 16),
-                      "head_dims": (32,), "num_cross_layers": 1},
-        },
     },
     "default": {
         "vocab_sizes": {"user_id": 200_000, "item_id": 100_000, "category": 1_000},
@@ -76,14 +60,6 @@ PRESETS = {
         "warmup_steps": 5,
         "engine": {"n_users": 400, "n_items": 600, "n_new_items": 2_000,
                    "n_interactions": 8_000},
-        "parallel": {
-            "world": {"n_users": 2_000, "n_items": 1_500, "n_new_items": 500,
-                      "n_interactions": 30_000},
-            "workers": 4,
-            "batch_size": 256,
-            "tower": {"vector_dim": 32, "deep_dims": (128, 64),
-                      "head_dims": (64,), "num_cross_layers": 2},
-        },
     },
 }
 
@@ -199,50 +175,6 @@ def _check_parity(preset):
     return True
 
 
-def _bench_parallel(preset):
-    """Epoch wall-time of the data-parallel trainer: one worker vs N.
-
-    Both runs use the same :class:`~repro.nn.parallel.WorkerPool`
-    machinery (shared-memory parameter slab, pipe protocol), so the
-    ratio isolates *scaling*, not in-process-vs-IPC overhead.  An epoch
-    covers the full dataset in either configuration.  On machines with
-    fewer CPUs than workers the measurement still runs — it then mostly
-    shows the cost of time-slicing — and the regression gate downgrades
-    to informational (see :func:`check_regression`).
-    """
-    from repro.core import TowerConfig, TwoTowerModel, TwoTowerTrainer
-    from repro.data.synthetic import TmallConfig, generate_tmall_world
-
-    config = PRESETS[preset]["parallel"]
-    world = generate_tmall_world(TmallConfig(seed=2, **config["world"]))
-    tower = TowerConfig(**config["tower"])
-
-    def run(workers):
-        model = TwoTowerModel(world.schema, tower, rng=np.random.default_rng(1))
-        trainer = TwoTowerTrainer(
-            epochs=1, batch_size=config["batch_size"], lr=1e-3,
-            n_workers=workers, seed=0,
-        )
-        start = time.perf_counter()
-        history = trainer.fit(model, world.interactions)
-        seconds = time.perf_counter() - start
-        return seconds, float(history.series("loss")[-1])
-
-    one_seconds, one_loss = run(1)
-    n_seconds, n_loss = run(config["workers"])
-    return {
-        "workers": config["workers"],
-        "cpu_count": os.cpu_count(),
-        "rows": int(len(world.interactions)),
-        "batch_size": config["batch_size"],
-        "one_worker_epoch_seconds": one_seconds,
-        "n_worker_epoch_seconds": n_seconds,
-        "speedup_n_vs_one": one_seconds / max(n_seconds, 1e-12),
-        "one_worker_loss": one_loss,
-        "n_worker_loss": n_loss,
-    }
-
-
 def _bench_engine_refresh(preset):
     """Full vs incremental serving refresh after a small event burst."""
     from repro.core import ATNN, TowerConfig
@@ -325,14 +257,6 @@ def run_suite(preset: str) -> dict:
           f"{engine['incremental_seconds'] * 1e3:.2f} ms "
           f"({engine['speedup']:.1f}x)")
 
-    print("[autograd-suite] data-parallel trainer: 1 worker vs "
-          f"{config['parallel']['workers']} ...")
-    parallel = _bench_parallel(preset)
-    print(f"  {parallel['one_worker_epoch_seconds']:.2f}s vs "
-          f"{parallel['n_worker_epoch_seconds']:.2f}s per epoch "
-          f"({parallel['speedup_n_vs_one']:.2f}x on "
-          f"{parallel['cpu_count']} CPUs)")
-
     timing_keys = ("seconds_per_step", "seconds_per_step_median",
                    "seconds_per_step_std", "steps")
     speedup = dense_f64["seconds_per_step"] / sparse_f64["seconds_per_step"]
@@ -350,7 +274,6 @@ def run_suite(preset: str) -> dict:
                 sparse_f64["seconds_per_step"] / sparse_f32["seconds_per_step"]
             ),
         },
-        "parallel": parallel,
         "sanitizer": {
             "off": {k: sparse_f64[k] for k in
                     ("seconds_per_step", "seconds_per_step_median",
@@ -385,13 +308,9 @@ def run_suite(preset: str) -> dict:
 def check_regression(report: dict, baseline_path: Path, max_regression: float) -> bool:
     """True when no measured speedup ratio has collapsed vs the baseline.
 
-    Compares dimensionless in-run ratios (sparse vs dense, N-worker vs
-    1-worker scaling) so the check is stable across machines of different
-    absolute speed.  Ratios
-    the baseline file predates are skipped with a note.  The parallel
-    scaling gate only applies when both the baseline and the current run
-    had at least as many CPUs as workers — on an oversubscribed runner
-    the ratio measures the scheduler, not the trainer.
+    Compares dimensionless in-run ratios (sparse vs dense) so the check
+    is stable across machines of different absolute speed.  Ratios the
+    baseline file predates are skipped with a note.
     """
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     gates = [("speedup_sparse_vs_dense", "sparse-vs-dense")]
@@ -409,32 +328,6 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
               f"(floor {floor:.2f}x) {verdict}")
         passed = passed and measured >= floor
 
-    base_parallel = baseline.get("parallel") or {}
-    parallel = report.get("parallel")
-    if parallel is None:
-        print("[autograd-suite] parallel scaling: arm not run, skipped")
-    else:
-        workers = parallel["workers"]
-        measured = parallel["speedup_n_vs_one"]
-        if (parallel.get("cpu_count") or 0) < workers:
-            print(f"[autograd-suite] parallel scaling: informational only "
-                  f"({measured:.2f}x at {workers} workers on "
-                  f"{parallel.get('cpu_count')} CPUs — the gate needs >= "
-                  f"{workers} CPUs)")
-        else:
-            # Near-linear floor from the acceptance target (>= 2.5x at 4
-            # workers, i.e. 62.5% of ideal), machine-independent.
-            floor = PARALLEL_SCALING_FRACTION * workers
-            # A baseline measured with enough CPUs tightens the floor
-            # to its own ratio / max_regression.
-            if (base_parallel.get("cpu_count") or 0) >= workers:
-                floor = max(
-                    floor, base_parallel["speedup_n_vs_one"] / max_regression
-                )
-            verdict = "ok" if measured >= floor else "FAIL"
-            print(f"[autograd-suite] regression check [parallel x{workers}]: "
-                  f"measured {measured:.2f}x (floor {floor:.2f}x) {verdict}")
-            passed = passed and measured >= floor
     return passed
 
 

@@ -101,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help=(
-            "spool mergeable telemetry snapshot frames to this directory "
-            "while the run executes; a fleet collector (python -m "
-            "repro.obs.agg <dir>) merges spools from several processes "
-            "into one fleet-level view"
+            "spool this run's mergeable telemetry snapshot frames to "
+            "this directory while it executes; a fleet collector "
+            "(python -m repro.obs.agg <dir>) merges the spools of several "
+            "runs, one per --shard-label, into one fleet-level view"
         ),
     )
     parser.add_argument(
@@ -142,17 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable structured logging to stderr at this level",
     )
     parser.add_argument(
-        "--n-workers",
-        type=int,
-        default=0,
-        help=(
-            "train with a multi-process data-parallel worker pool of this "
-            "size (0 = in-process, the default; 1 reproduces in-process "
-            "training bit for bit from a separate worker process); "
-            "workers spool telemetry under --spool-dir when it is set"
-        ),
-    )
-    parser.add_argument(
         "--sanitize",
         action="store_true",
         help=(
@@ -170,21 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.log_level is not None:
         configure_logging(args.log_level)
-
-    if args.n_workers < 0:
-        print(f"error: --n-workers must be >= 0, got {args.n_workers}", file=sys.stderr)
-        return 2
-    if args.n_workers:
-        # Experiments build their trainers internally; route the knob
-        # through the ambient trainer defaults.
-        from repro.core.trainer import set_trainer_defaults
-
-        set_trainer_defaults(
-            n_workers=args.n_workers,
-            worker_spool_dir=(
-                str(args.spool_dir) if args.spool_dir is not None else None
-            ),
-        )
 
     if args.experiment == "list":
         for name in available_experiments():

@@ -22,8 +22,6 @@ from repro.core.trainer import (
     MultiTaskTrainer,
     TrainingHistory,
     TwoTowerTrainer,
-    get_trainer_defaults,
-    set_trainer_defaults,
 )
 from repro.core.two_tower import TwoTowerModel
 
@@ -53,6 +51,4 @@ __all__ = [
     "MultiTaskTrainer",
     "TrainingHistory",
     "TwoTowerTrainer",
-    "get_trainer_defaults",
-    "set_trainer_defaults",
 ]

@@ -10,16 +10,14 @@ ranked inside the top-k of the whole item corpus?
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.core.trainer import TrainingHistory, _BaseTrainer
+from repro.core.trainer import PathStep, TrainingHistory, _BaseTrainer
 from repro.core.two_tower import TwoTowerModel
-from repro.data.dataset import FeatureTable, InteractionDataset
+from repro.data.dataset import Batch, FeatureTable, InteractionDataset
 from repro.nn.losses import in_batch_softmax_loss
-from repro.nn.optim import Adam
 from repro.nn.tensor import no_grad
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle at import)
@@ -27,28 +25,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle at import)
 
 __all__ = ["RetrievalTrainer", "recall_against_corpus"]
 
+_LOG_SAMPLING_PROB = "_log_sampling_prob"
+
 
 class RetrievalTrainer(_BaseTrainer):
     """Trains a two-tower model for retrieval with in-batch negatives.
+
+    Records ``loss`` per epoch.  Batches of fewer than two rows are
+    skipped: in-batch softmax needs at least one negative.
 
     Parameters
     ----------
     temperature:
         Softmax temperature of the in-batch objective.
     (plus the shared knobs of the base trainer: epochs, batch_size, lr,
-    grad_clip, seed, verbose, callbacks, dtype.  Training is in-process
-    only: ``n_workers >= 1`` is rejected.)
+    grad_clip, seed, verbose, early_stopping, callbacks, dtype.)
     """
 
     def __init__(self, temperature: float = 0.2, **kwargs) -> None:
         super().__init__(**kwargs)
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        if self.n_workers:
-            raise ValueError(
-                "RetrievalTrainer trains in-process only; "
-                f"got n_workers={self.n_workers}"
-            )
         self.temperature = temperature
 
     def fit(
@@ -80,7 +77,6 @@ class RetrievalTrainer(_BaseTrainer):
                 f"{len(positives)}"
             )
 
-        log_probabilities = None
         if item_indices is not None:
             item_indices = np.asarray(item_indices)
             if item_indices.shape != (len(interactions),):
@@ -91,52 +87,22 @@ class RetrievalTrainer(_BaseTrainer):
             positive_items = item_indices[positive_rows]
             counts = np.bincount(positive_items)
             frequencies = counts[positive_items] / positive_items.size
-            log_probabilities = np.log(frequencies)
+            # A label column of the subset, so each batch slices its own rows.
+            positives.labels[_LOG_SAMPLING_PROB] = np.log(frequencies)
+        return super().fit(model, positives, label=label)
 
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            order = np.arange(len(positives))
-            for epoch in range(self.epochs):
-                rng.shuffle(order)
-                losses: List[float] = []
-                for start in range(0, len(order), self.batch_size):
-                    rows = order[start : start + self.batch_size]
-                    if rows.size < 2:
-                        continue
-                    features = {
-                        name: col[rows] for name, col in positives.features.items()
-                    }
-                    user_vectors = model.user_vectors(features)
-                    item_vectors = model.item_vectors(features)
-                    loss = in_batch_softmax_loss(
-                        user_vectors,
-                        item_vectors,
-                        temperature=self.temperature,
-                        log_sampling_prob=(
-                            log_probabilities[rows]
-                            if log_probabilities is not None
-                            else None
-                        ),
-                    )
-                    value = self._step(optimizer, loss)
-                    losses.append(value)
-                    self._on_batch(optimizer, "encoder", {"loss": value})
-                if not losses:
-                    raise ValueError(
-                        "no trainable batches; lower batch_size below the "
-                        f"positive count ({len(positives)})"
-                    )
-                self._finish_epoch(
-                    epoch, {"loss": float(np.mean(losses))}, history
-                )
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+    def _train_step(
+        self, model: TwoTowerModel, batch: Batch, label: str
+    ) -> Iterator[PathStep]:
+        if batch.size < 2:
+            return
+        loss = in_batch_softmax_loss(
+            model.user_vectors(batch.features),
+            model.item_vectors(batch.features),
+            temperature=self.temperature,
+            log_sampling_prob=batch.labels.get(_LOG_SAMPLING_PROB),
+        )
+        yield "encoder", loss, {"loss": loss}
 
 
 def recall_against_corpus(

@@ -8,23 +8,24 @@ Implements the paper's alternating optimisation:
 * Algorithm 2 (food-delivery multi-task ATNN): the same alternation with
   ``L^GMV + lambda_1 * L^VpPV`` on each path and ``lambda_2 * L_s``.
 
-A single optimizer covers all unique parameters; each alternating step only
-touches the parameters reachable from its loss graph (parameters without
-gradients are skipped), so the alternation matches the paper's two-step
-updates.
+Every trainer runs the one epoch loop of ``_BaseTrainer.fit`` and writes
+only its per-batch step and its validation.  A single optimizer covers all
+unique parameters; each alternating step only touches the parameters
+reachable from its loss graph (parameters without gradients are skipped),
+so the alternation matches the paper's two-step updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.atnn import ATNN
 from repro.core.multitask import MultiTaskATNN
 from repro.core.two_tower import TwoTowerModel
-from repro.data.dataset import InteractionDataset
+from repro.data.dataset import Batch, InteractionDataset
 from repro.metrics.auc import roc_auc
 from repro.nn.losses import (
     binary_cross_entropy,
@@ -42,44 +43,7 @@ __all__ = [
     "TwoTowerTrainer",
     "ATNNTrainer",
     "MultiTaskTrainer",
-    "set_trainer_defaults",
-    "get_trainer_defaults",
 ]
-
-
-# Ambient trainer defaults: process-wide knobs (CLI flags, experiment
-# presets) consulted when a trainer is constructed without explicit
-# values.  Experiments construct their trainers internally, so this is
-# how ``--n-workers`` reaches them without threading new arguments
-# through every registry entry.
-_TRAINER_DEFAULTS: Dict[str, object] = {
-    "n_workers": 0,
-    "start_method": None,
-    "worker_spool_dir": None,
-}
-
-
-def set_trainer_defaults(**overrides) -> Dict[str, object]:
-    """Update the ambient trainer defaults; returns the previous values.
-
-    Recognised keys: ``n_workers`` (0 = in-process training, N >= 1 = a
-    data-parallel worker pool of N processes), ``start_method`` and
-    ``worker_spool_dir`` (see :class:`repro.nn.parallel.WorkerPool`).
-    """
-    unknown = sorted(set(overrides) - set(_TRAINER_DEFAULTS))
-    if unknown:
-        raise KeyError(
-            f"unknown trainer defaults {unknown}; "
-            f"expected keys from {sorted(_TRAINER_DEFAULTS)}"
-        )
-    previous = {key: _TRAINER_DEFAULTS[key] for key in overrides}
-    _TRAINER_DEFAULTS.update(overrides)
-    return previous
-
-
-def get_trainer_defaults() -> Dict[str, object]:
-    """A copy of the ambient trainer defaults."""
-    return dict(_TRAINER_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -89,8 +53,9 @@ class EarlyStopping:
     Attributes
     ----------
     metric:
-        History key to watch (e.g. ``valid_auc_encoder``,
-        ``valid_mae_vppv``) — requires training with a validation set.
+        Epoch-record key to watch: a validation metric such as
+        ``valid_auc_encoder`` or ``valid_mae_vppv`` (requires training
+        with a validation set), or a mean training loss such as ``loss``.
     mode:
         ``"max"`` (higher is better, AUC) or ``"min"`` (MAE/loss).
     patience:
@@ -183,8 +148,22 @@ class TrainingHistory:
         return f"TrainingHistory: {self.n_epochs} epoch{plural}; " + ", ".join(parts)
 
 
+# One optimizer step of a training step: the path it trains ("encoder" or
+# "generator"), the loss to minimise, and the scalars to log for it.
+PathStep = Tuple[str, Tensor, Dict[str, Tensor]]
+
+
 class _BaseTrainer:
-    """Shared epoch/batch plumbing."""
+    """The one epoch loop; subclasses supply a step and a validation.
+
+    :meth:`fit` owns the shuffle rng, the Adam optimizer, the
+    ``train.epoch`` span, per-epoch loss means, validation, early
+    stopping with best-state restore, and callbacks.  A subclass writes
+    its objective once, as :meth:`_train_step`: a generator that yields
+    one :data:`PathStep` per optimizer step on a batch.  The loop steps
+    the optimizer before resuming the generator, so a later path's
+    forward sees the earlier path's update — Algorithm 1's alternation.
+    """
 
     def __init__(
         self,
@@ -198,29 +177,11 @@ class _BaseTrainer:
         early_stopping: Optional[EarlyStopping] = None,
         callbacks: Optional[Sequence[TrainerCallback]] = None,
         dtype=None,
-        n_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        worker_spool_dir=None,
     ) -> None:
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        # None means "use the ambient default" (set_trainer_defaults).
-        defaults = _TRAINER_DEFAULTS
-        self.n_workers = int(
-            defaults["n_workers"] if n_workers is None else n_workers  # type: ignore[arg-type]
-        )
-        if self.n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
-        self.start_method = (
-            defaults["start_method"] if start_method is None else start_method
-        )
-        self.worker_spool_dir = (
-            defaults["worker_spool_dir"]
-            if worker_spool_dir is None
-            else worker_spool_dir
-        )
         self.epochs = epochs
         self.batch_size = batch_size
         self.lr = lr
@@ -240,6 +201,81 @@ class _BaseTrainer:
         self._epochs_without_improvement = 0
         self._active_callbacks: Tuple[TrainerCallback, ...] = ()
         self._parameter_groups: List[Tuple[str, List]] = []
+
+    # ------------------------------------------------------------------
+    # What each trainer supplies
+    # ------------------------------------------------------------------
+    def _train_step(self, model, batch: Batch, label: str) -> Iterator[PathStep]:
+        """Yield the optimizer steps of one batch, in order."""
+        raise NotImplementedError
+
+    def _validate(self, model, valid: InteractionDataset, label: str) -> Dict[str, float]:
+        """Validation metrics for one epoch's record."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # The epoch loop
+    # ------------------------------------------------------------------
+    def fit(
+        self,
+        model,
+        train: InteractionDataset,
+        valid: Optional[InteractionDataset] = None,
+        label: str = "ctr",
+    ) -> TrainingHistory:
+        """Train ``model`` in place; returns per-epoch history.
+
+        Parameters
+        ----------
+        model:
+            The model to train.
+        train:
+            Training interactions.
+        valid:
+            Optional held-out interactions; when given, each epoch's
+            record also carries the trainer's validation metrics.
+        label:
+            Which label column carries the click target.
+
+        Raises
+        ------
+        ValueError
+            When an epoch takes no optimizer step (an empty training set,
+            or batches too small for the objective).
+        """
+        rng = np.random.default_rng(self.seed)
+        history = TrainingHistory()
+        self._begin_fit(model)
+        try:
+            optimizer = Adam(model.parameters(), lr=self.lr)
+            model.train()
+            for epoch in range(self.epochs):
+                logged: Dict[str, List[float]] = {}
+                with maybe_span("train.epoch"):
+                    for batch in train.iter_batches(self.batch_size, rng=rng):
+                        for path, loss, logs in self._train_step(model, batch, label):
+                            self._step(optimizer, loss)
+                            values = {key: tensor.item() for key, tensor in logs.items()}
+                            for key, value in values.items():
+                                logged.setdefault(key, []).append(value)
+                            self._on_batch(optimizer, path, values)
+                if not logged:
+                    raise ValueError(
+                        f"epoch {epoch + 1} took no training step: {len(train)} "
+                        f"training rows at batch_size={self.batch_size}"
+                    )
+                record = {key: float(np.mean(values)) for key, values in logged.items()}
+                if valid is not None:
+                    record.update(self._validate(model, valid, label))
+                    model.train()
+                self._finish_epoch(epoch, record, history)
+                if self._check_early_stop(record, model):
+                    break
+            self._maybe_restore_best(model)
+            model.eval()
+        finally:
+            self._end_fit(history)
+        return history
 
     # ------------------------------------------------------------------
     # Telemetry plumbing
@@ -310,7 +346,7 @@ class _BaseTrainer:
         for callback in self._active_callbacks:
             callback.on_batch_end(stats)
 
-    def _step(self, optimizer: Optimizer, loss: Tensor) -> float:
+    def _step(self, optimizer: Optimizer, loss: Tensor) -> None:
         value = loss.item()
         if not np.isfinite(value):
             raise RuntimeError(
@@ -323,7 +359,6 @@ class _BaseTrainer:
         if self.grad_clip is not None:
             Optimizer.clip_gradients(optimizer.parameters, self.grad_clip)
         optimizer.step()
-        return value
 
     def _emit_validation_scores(self, path: str, labels, scores) -> None:
         """Hand one validation pass's raw (labels, scores) to callbacks."""
@@ -374,161 +409,38 @@ class _BaseTrainer:
         ):
             model.load_state_dict(self._best_state)
 
-    # ------------------------------------------------------------------
-    # Multi-process data-parallel fit (n_workers >= 1)
-    # ------------------------------------------------------------------
-    def _fit_parallel(
-        self,
-        model,
-        train: InteractionDataset,
-        program,
-        validate: Optional[Callable[[object, Dict[str, float]], None]] = None,
-    ) -> TrainingHistory:
-        """Generic epoch loop over a :class:`repro.nn.parallel.WorkerPool`.
-
-        Workers compute per-shard gradients for each of ``program``'s
-        paths; this parent merges them, clips, and applies the optimizer
-        step to the shared parameter slab — so alternation semantics
-        (the generator path seeing the encoder-path update) are
-        preserved exactly.  ``validate`` receives ``(model, record)``
-        after each epoch to append validation metrics.
-        """
-        from repro.nn.parallel import WorkerPool
-
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            pool = WorkerPool(
-                model,
-                program,
-                train,
-                n_workers=self.n_workers,
-                batch_size=self.batch_size,
-                seed=self.seed,
-                start_method=self.start_method,
-                spool_dir=self.worker_spool_dir,
-            )
-            try:
-                for epoch in range(self.epochs):
-                    accumulated: Dict[str, List[float]] = {}
-                    pool.begin_epoch()
-                    with maybe_span("train.epoch"):
-                        for _ in range(pool.steps_per_epoch):
-                            for position, path in enumerate(program.paths()):
-                                optimizer.zero_grad()
-                                value, logs = pool.step(
-                                    path, advance=(position == 0)
-                                )
-                                if not np.isfinite(value):
-                                    raise RuntimeError(
-                                        f"training diverged: loss is {value!r} "
-                                        f"at optimizer step {optimizer.step_count}"
-                                        f" on path {path!r}; lower the learning "
-                                        "rate or enable gradient clipping"
-                                    )
-                                if self.grad_clip is not None:
-                                    Optimizer.clip_gradients(
-                                        optimizer.parameters, self.grad_clip
-                                    )
-                                optimizer.step()
-                                for key, logged in logs.items():
-                                    accumulated.setdefault(key, []).append(logged)
-                                self._on_batch(optimizer, path, logs)
-                    record = {
-                        key: float(np.mean(values))
-                        for key, values in accumulated.items()
-                    }
-                    if validate is not None:
-                        validate(model, record)
-                        model.train()
-                    self._finish_epoch(epoch, record, history)
-                    if self._check_early_stop(record, model):
-                        break
-                self._maybe_restore_best(model)
-                model.eval()
-            finally:
-                pool.close()
-        finally:
-            self._end_fit(history)
-        return history
-
 
 class TwoTowerTrainer(_BaseTrainer):
-    """Trains :class:`TwoTowerModel` on binary CTR labels."""
+    """Trains :class:`TwoTowerModel` on binary CTR labels.
 
-    def fit(
-        self,
-        model: TwoTowerModel,
-        train: InteractionDataset,
-        valid: Optional[InteractionDataset] = None,
-        label: str = "ctr",
-    ) -> TrainingHistory:
-        """Run the training loop; returns per-epoch history.
+    Records ``loss`` per epoch, plus ``valid_auc`` when :meth:`fit` gets a
+    validation set.
+    """
 
-        Parameters
-        ----------
-        model:
-            The model to train in place.
-        train:
-            Training interactions.
-        valid:
-            Optional held-out interactions; when given, validation AUC is
-            recorded each epoch.
-        label:
-            Which label column carries the click target.
-        """
-        if self.n_workers:
-            from repro.nn.parallel import TwoTowerStepProgram
+    def _train_step(
+        self, model: TwoTowerModel, batch: Batch, label: str
+    ) -> Iterator[PathStep]:
+        probabilities = model(batch.features)
+        loss = binary_cross_entropy(probabilities, batch.label(label))
+        yield "encoder", loss, {"loss": loss}
 
-            def validate(model, record):
-                if valid is None:
-                    return
-                valid_labels = valid.label(label)
-                valid_scores = model.predict_proba(valid.features)
-                record["valid_auc"] = roc_auc(valid_labels, valid_scores)
-                self._emit_validation_scores("encoder", valid_labels, valid_scores)
-
-            return self._fit_parallel(
-                model, train, TwoTowerStepProgram(label), validate
-            )
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            for epoch in range(self.epochs):
-                losses: List[float] = []
-                with maybe_span("train.epoch"):
-                    for batch in train.iter_batches(self.batch_size, rng=rng):
-                        probabilities = model(batch.features)
-                        loss = binary_cross_entropy(probabilities, batch.label(label))
-                        value = self._step(optimizer, loss)
-                        losses.append(value)
-                        self._on_batch(optimizer, "encoder", {"loss": value})
-                record = {"loss": float(np.mean(losses))}
-                if valid is not None:
-                    valid_labels = valid.label(label)
-                    valid_scores = model.predict_proba(valid.features)
-                    record["valid_auc"] = roc_auc(valid_labels, valid_scores)
-                    self._emit_validation_scores(
-                        "encoder", valid_labels, valid_scores
-                    )
-                    model.train()
-                self._finish_epoch(epoch, record, history)
-                if self._check_early_stop(record, model):
-                    break
-            self._maybe_restore_best(model)
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+    def _validate(
+        self, model: TwoTowerModel, valid: InteractionDataset, label: str
+    ) -> Dict[str, float]:
+        valid_labels = valid.label(label)
+        valid_scores = model.predict_proba(valid.features)
+        metrics = {"valid_auc": roc_auc(valid_labels, valid_scores)}
+        self._emit_validation_scores("encoder", valid_labels, valid_scores)
+        return metrics
 
 
 class ATNNTrainer(_BaseTrainer):
     """Alternating trainer for :class:`ATNN` (Algorithm 1).
+
+    Records ``loss_i``, ``loss_g`` and ``loss_s`` per epoch.  When
+    :meth:`fit` gets a validation set, both the encoder-path AUC
+    (``valid_auc_encoder``) and the cold-start generator-path AUC
+    (``valid_auc_generator``) are recorded too.
 
     Parameters
     ----------
@@ -545,128 +457,46 @@ class ATNNTrainer(_BaseTrainer):
             )
         self.lambda_similarity = lambda_similarity
 
-    def fit(
-        self,
-        model: ATNN,
-        train: InteractionDataset,
-        valid: Optional[InteractionDataset] = None,
-        label: str = "ctr",
-    ) -> TrainingHistory:
-        """Run Algorithm 1; records ``loss_i``, ``loss_g``, ``loss_s``.
+    def _train_step(self, model: ATNN, batch: Batch, label: str) -> Iterator[PathStep]:
+        targets = batch.label(label)
 
-        When ``valid`` is given, both the encoder-path AUC
-        (``valid_auc_encoder``) and the cold-start generator-path AUC
-        (``valid_auc_generator``) are recorded each epoch.
-        """
-        if self.n_workers:
-            from repro.nn.parallel import ATNNStepProgram
+        # Step 1 — optimise the encoder path on L_i.
+        probabilities = model(batch.features)
+        loss_i = binary_cross_entropy(probabilities, targets)
+        yield "encoder", loss_i, {"loss_i": loss_i}
 
-            def validate(model, record):
-                if valid is None:
-                    return
-                valid_labels = valid.label(label)
-                encoder_scores = model.predict_proba(valid.features)
-                generator_scores = model.predict_proba_cold_start(valid.features)
-                record["valid_auc_encoder"] = roc_auc(valid_labels, encoder_scores)
-                record["valid_auc_generator"] = roc_auc(
-                    valid_labels, generator_scores
-                )
-                self._emit_validation_scores(
-                    "encoder", valid_labels, encoder_scores
-                )
-                self._emit_validation_scores(
-                    "generator", valid_labels, generator_scores
-                )
+        # Step 2 — optimise the generator path on L_g + lambda*L_s.
+        with no_grad():
+            encoder_targets = model.encoded_item_vectors(batch.features)
+        generated = model.generated_item_vectors(batch.features)
+        user_vectors = model.user_vectors(batch.features)
+        generator_probabilities = model.scoring_head(generated, user_vectors)
+        loss_g = binary_cross_entropy(generator_probabilities, targets)
+        loss_s = similarity_loss(generated, Tensor(encoder_targets.data))
+        combined = loss_g + self.lambda_similarity * loss_s
+        yield "generator", combined, {"loss_g": loss_g, "loss_s": loss_s}
 
-            return self._fit_parallel(
-                model,
-                train,
-                ATNNStepProgram(label, self.lambda_similarity),
-                validate,
-            )
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            for epoch in range(self.epochs):
-                losses_i: List[float] = []
-                losses_g: List[float] = []
-                losses_s: List[float] = []
-                with maybe_span("train.epoch"):
-                    for batch in train.iter_batches(self.batch_size, rng=rng):
-                        targets = batch.label(label)
-
-                        # Step 1 — optimise the encoder path on L_i.
-                        probabilities = model(batch.features)
-                        loss_i = binary_cross_entropy(probabilities, targets)
-                        value_i = self._step(optimizer, loss_i)
-                        losses_i.append(value_i)
-                        self._on_batch(optimizer, "encoder", {"loss_i": value_i})
-
-                        # Step 2 — optimise the generator path on L_g + lambda*L_s.
-                        with no_grad():
-                            encoder_targets = model.encoded_item_vectors(
-                                batch.features
-                            )
-                        generated = model.generated_item_vectors(batch.features)
-                        user_vectors = model.user_vectors(batch.features)
-                        generator_probabilities = model.scoring_head(
-                            generated, user_vectors
-                        )
-                        loss_g = binary_cross_entropy(
-                            generator_probabilities, targets
-                        )
-                        loss_s = similarity_loss(
-                            generated, Tensor(encoder_targets.data)
-                        )
-                        combined = loss_g + self.lambda_similarity * loss_s
-                        self._step(optimizer, combined)
-                        losses_g.append(loss_g.item())
-                        losses_s.append(loss_s.item())
-                        self._on_batch(
-                            optimizer,
-                            "generator",
-                            {"loss_g": losses_g[-1], "loss_s": losses_s[-1]},
-                        )
-
-                record = {
-                    "loss_i": float(np.mean(losses_i)),
-                    "loss_g": float(np.mean(losses_g)),
-                    "loss_s": float(np.mean(losses_s)),
-                }
-                if valid is not None:
-                    valid_labels = valid.label(label)
-                    encoder_scores = model.predict_proba(valid.features)
-                    generator_scores = model.predict_proba_cold_start(
-                        valid.features
-                    )
-                    record["valid_auc_encoder"] = roc_auc(
-                        valid_labels, encoder_scores
-                    )
-                    record["valid_auc_generator"] = roc_auc(
-                        valid_labels, generator_scores
-                    )
-                    self._emit_validation_scores(
-                        "encoder", valid_labels, encoder_scores
-                    )
-                    self._emit_validation_scores(
-                        "generator", valid_labels, generator_scores
-                    )
-                    model.train()
-                self._finish_epoch(epoch, record, history)
-                if self._check_early_stop(record, model):
-                    break
-            self._maybe_restore_best(model)
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+    def _validate(
+        self, model: ATNN, valid: InteractionDataset, label: str
+    ) -> Dict[str, float]:
+        valid_labels = valid.label(label)
+        encoder_scores = model.predict_proba(valid.features)
+        generator_scores = model.predict_proba_cold_start(valid.features)
+        metrics = {
+            "valid_auc_encoder": roc_auc(valid_labels, encoder_scores),
+            "valid_auc_generator": roc_auc(valid_labels, generator_scores),
+        }
+        self._emit_validation_scores("encoder", valid_labels, encoder_scores)
+        self._emit_validation_scores("generator", valid_labels, generator_scores)
+        return metrics
 
 
 class MultiTaskTrainer(_BaseTrainer):
     """Alternating trainer for :class:`MultiTaskATNN` (Algorithm 2).
+
+    Records ``loss_r`` (plus ``loss_g`` and ``loss_s`` when adversarial)
+    per epoch, and ``valid_mae_<task>`` when :meth:`fit` gets a
+    validation set.
 
     Parameters
     ----------
@@ -694,128 +524,57 @@ class MultiTaskTrainer(_BaseTrainer):
         self.lambda_similarity = lambda_similarity
         self.adversarial = adversarial
 
-    def _task_loss(
-        self,
-        model: MultiTaskATNN,
-        batch_features: Dict[str, np.ndarray],
-        gmv_targets: np.ndarray,
-        vppv_targets: np.ndarray,
-        use_generator: bool,
-    ) -> Tensor:
-        if use_generator:
-            item_vectors = model.generated_item_vectors(batch_features)
-        else:
-            item_vectors = model.encoded_item_vectors(batch_features)
-        group_vectors = model.group_vectors(batch_features)
-        gmv_prediction = model.gmv_head(item_vectors, group_vectors)
-        vppv_prediction = model.vppv_head(item_vectors, group_vectors)
-        return mean_squared_error(
-            gmv_prediction, gmv_targets
-        ) + self.lambda_vppv * mean_squared_error(vppv_prediction, vppv_targets)
-
     def fit(
         self,
         model: MultiTaskATNN,
         train: InteractionDataset,
         valid: Optional[InteractionDataset] = None,
     ) -> TrainingHistory:
-        """Run Algorithm 2; records per-path losses and validation MAEs."""
+        """Run Algorithm 2 on the ``gmv`` and ``vppv`` labels."""
         # Start each regression head at its label mean so early epochs fit
         # structure rather than climbing the output offset.
-        model.gmv_head.set_output_bias(float(train.label("gmv").mean()))
-        model.vppv_head.set_output_bias(float(train.label("vppv").mean()))
-        if self.n_workers:
-            from repro.nn.parallel import MultiTaskStepProgram
+        if len(train):
+            model.gmv_head.set_output_bias(float(train.label("gmv").mean()))
+            model.vppv_head.set_output_bias(float(train.label("vppv").mean()))
+        return super().fit(model, train, valid)
 
-            def validate(model, record):
-                if valid is None:
-                    return
-                for task in MultiTaskATNN.TASKS:
-                    predictions = model.predict(
-                        valid.features, task, cold_start=self.adversarial
-                    )
-                    errors = np.abs(predictions - valid.label(task))
-                    record[f"valid_mae_{task}"] = float(errors.mean())
+    def _task_loss(
+        self, model: MultiTaskATNN, item_vectors: Tensor, batch: Batch
+    ) -> Tensor:
+        """``L^GMV + lambda_1 * L^VpPV`` on one path's item vectors."""
+        group_vectors = model.group_vectors(batch.features)
+        gmv_prediction = model.gmv_head(item_vectors, group_vectors)
+        vppv_prediction = model.vppv_head(item_vectors, group_vectors)
+        return mean_squared_error(
+            gmv_prediction, batch.label("gmv")
+        ) + self.lambda_vppv * mean_squared_error(vppv_prediction, batch.label("vppv"))
 
-            return self._fit_parallel(
-                model,
-                train,
-                MultiTaskStepProgram(
-                    self.lambda_vppv, self.lambda_similarity, self.adversarial
-                ),
-                validate,
+    def _train_step(
+        self, model: MultiTaskATNN, batch: Batch, label: str
+    ) -> Iterator[PathStep]:
+        # Step 1 — encoder path: L_r^GMV + lambda_1 * L_r^VpPV.
+        loss_r = self._task_loss(model, model.encoded_item_vectors(batch.features), batch)
+        yield "encoder", loss_r, {"loss_r": loss_r}
+        if not self.adversarial:
+            return
+
+        # Step 2 — generator path plus similarity distillation.
+        with no_grad():
+            encoder_targets = model.encoded_item_vectors(batch.features)
+        generated = model.generated_item_vectors(batch.features)
+        loss_g = self._task_loss(model, generated, batch)
+        loss_s = similarity_loss(generated, Tensor(encoder_targets.data))
+        combined = loss_g + self.lambda_similarity * loss_s
+        yield "generator", combined, {"loss_g": loss_g, "loss_s": loss_s}
+
+    def _validate(
+        self, model: MultiTaskATNN, valid: InteractionDataset, label: str
+    ) -> Dict[str, float]:
+        metrics = {}
+        for task in MultiTaskATNN.TASKS:
+            predictions = model.predict(
+                valid.features, task, cold_start=self.adversarial
             )
-        rng = np.random.default_rng(self.seed)
-        history = TrainingHistory()
-        self._begin_fit(model)
-        try:
-            optimizer = Adam(model.parameters(), lr=self.lr)
-            model.train()
-            for epoch in range(self.epochs):
-                losses_r: List[float] = []
-                losses_g: List[float] = []
-                losses_s: List[float] = []
-                with maybe_span("train.epoch"):
-                    for batch in train.iter_batches(self.batch_size, rng=rng):
-                        gmv_targets = batch.label("gmv")
-                        vppv_targets = batch.label("vppv")
-
-                        # Step 1 — encoder path: L_r^GMV + lambda_1 * L_r^VpPV.
-                        loss_r = self._task_loss(
-                            model, batch.features, gmv_targets, vppv_targets, False
-                        )
-                        value_r = self._step(optimizer, loss_r)
-                        losses_r.append(value_r)
-                        self._on_batch(optimizer, "encoder", {"loss_r": value_r})
-
-                        if not self.adversarial:
-                            continue
-
-                        # Step 2 — generator path plus similarity distillation.
-                        with no_grad():
-                            encoder_targets = model.encoded_item_vectors(
-                                batch.features
-                            )
-                        generated = model.generated_item_vectors(batch.features)
-                        group_vectors = model.group_vectors(batch.features)
-                        gmv_prediction = model.gmv_head(generated, group_vectors)
-                        vppv_prediction = model.vppv_head(generated, group_vectors)
-                        loss_g = mean_squared_error(
-                            gmv_prediction, gmv_targets
-                        ) + self.lambda_vppv * mean_squared_error(
-                            vppv_prediction, vppv_targets
-                        )
-                        loss_s = similarity_loss(
-                            generated, Tensor(encoder_targets.data)
-                        )
-                        combined = loss_g + self.lambda_similarity * loss_s
-                        self._step(optimizer, combined)
-                        losses_g.append(loss_g.item())
-                        losses_s.append(loss_s.item())
-                        self._on_batch(
-                            optimizer,
-                            "generator",
-                            {"loss_g": losses_g[-1], "loss_s": losses_s[-1]},
-                        )
-
-                record: Dict[str, float] = {"loss_r": float(np.mean(losses_r))}
-                if losses_g:
-                    record["loss_g"] = float(np.mean(losses_g))
-                    record["loss_s"] = float(np.mean(losses_s))
-                if valid is not None:
-                    for task in MultiTaskATNN.TASKS:
-                        cold = self.adversarial
-                        predictions = model.predict(
-                            valid.features, task, cold_start=cold
-                        )
-                        errors = np.abs(predictions - valid.label(task))
-                        record[f"valid_mae_{task}"] = float(errors.mean())
-                    model.train()
-                self._finish_epoch(epoch, record, history)
-                if self._check_early_stop(record, model):
-                    break
-            self._maybe_restore_best(model)
-            model.eval()
-        finally:
-            self._end_fit(history)
-        return history
+            errors = np.abs(predictions - valid.label(task))
+            metrics[f"valid_mae_{task}"] = float(errors.mean())
+        return metrics

@@ -174,7 +174,6 @@ class InteractionDataset:
         batch_size: int,
         rng: Optional[np.random.Generator] = None,
         drop_last: bool = False,
-        prefetch: bool = False,
     ) -> Iterator[Batch]:
         """Yield mini-batches, shuffling when an ``rng`` is provided.
 
@@ -191,16 +190,6 @@ class InteractionDataset:
             When given, rows are shuffled with this generator each epoch.
         drop_last:
             Drop the final short batch (stabilises batch-statistics layers).
-        prefetch:
-            Double-buffer batch preparation on a background thread: the
-            epoch gather and batch assembly run ahead of the consumer
-            (queue depth 2), overlapping data prep with compute — or, in
-            the parallel trainer's workers, with the parent hand-off
-            wait.  The batch sequence is identical to ``prefetch=False``
-            (the shuffle is drawn from ``rng`` synchronously, before this
-            generator returns its first batch).  The producer thread
-            touches only this dataset's arrays — no ambient engine or
-            telemetry state — per ``docs/thread_hostility.md``.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -210,24 +199,16 @@ class InteractionDataset:
             rng.shuffle(order)
         else:
             order = None
-        if prefetch:
-            return self._iter_batches_prefetched(order, batch_size, drop_last)
-        return self._iter_batches_sync(order, batch_size, drop_last)
+        return self._batches(order, batch_size, drop_last)
 
-    def _gather_epoch(self, order: Optional[np.ndarray]):
-        """Columns in iteration order (one fancy gather when shuffled)."""
-        if order is None:
-            # Unshuffled epochs slice the stored columns directly.
-            return self.table.columns, self.labels
-        features = {name: col[order] for name, col in self.table.columns.items()}
-        labels = {name: col[order] for name, col in self.labels.items()}
-        return features, labels
-
-    def _iter_batches_sync(
+    def _batches(
         self, order: Optional[np.ndarray], batch_size: int, drop_last: bool
     ) -> Iterator[Batch]:
+        features, labels = self.table.columns, self.labels
+        if order is not None:
+            features = {name: col[order] for name, col in features.items()}
+            labels = {name: col[order] for name, col in labels.items()}
         n = len(self)
-        features, labels = self._gather_epoch(order)
         for start in range(0, n, batch_size):
             stop = start + batch_size
             if drop_last and stop > n:
@@ -236,56 +217,6 @@ class InteractionDataset:
                 {name: col[start:stop] for name, col in features.items()},
                 {name: col[start:stop] for name, col in labels.items()},
             )
-
-    def _iter_batches_prefetched(
-        self, order: Optional[np.ndarray], batch_size: int, drop_last: bool
-    ) -> Iterator[Batch]:
-        import queue
-        import threading
-
-        done = object()  # end-of-epoch sentinel
-        handoff: "queue.Queue" = queue.Queue(maxsize=2)
-        cancelled = threading.Event()
-
-        def offer(item) -> bool:
-            """Put with cancellation: False once the consumer is gone."""
-            while not cancelled.is_set():
-                try:
-                    handoff.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def produce() -> None:
-            try:
-                for batch in self._iter_batches_sync(order, batch_size, drop_last):
-                    if not offer(batch):
-                        return
-                offer(done)
-            except BaseException as error:  # surface in the consumer
-                offer(error)
-
-        producer = threading.Thread(
-            target=produce, name="batch-prefetch", daemon=True
-        )
-        producer.start()
-        try:
-            while True:
-                item = handoff.get()
-                if item is done:
-                    break
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
-        finally:
-            cancelled.set()
-            while not handoff.empty():  # unblock a producer stuck on put
-                try:
-                    handoff.get_nowait()
-                except queue.Empty:
-                    break
-            producer.join(timeout=5.0)
 
     def feature_matrix(self, groups: Sequence[str]) -> np.ndarray:
         """Flat float matrix of all features in ``groups`` (for GBDT)."""

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    EarlyStopping,
     RetrievalTrainer,
     TowerConfig,
     TwoTowerModel,
     recall_against_corpus,
 )
-from repro.obs import TrainerCallback
+from repro.obs import TrainerCallback, Tracer, use_tracer
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +117,6 @@ class TestRetrievalTrainer:
         with pytest.raises(ValueError):
             RetrievalTrainer(temperature=0.0)
 
-    def test_worker_pool_rejected(self):
-        with pytest.raises(ValueError, match="n_workers=1"):
-            RetrievalTrainer(n_workers=1)
-
     def test_trains_in_the_configured_dtype(
         self, tiny_tmall_world, tiny_tower_config
     ):
@@ -174,6 +171,72 @@ class TestRetrievalTrainer:
         )
         with pytest.raises(ValueError):
             RetrievalTrainer(epochs=1).fit(model, subset)
+
+    def test_epoch_without_a_trainable_batch_raises(
+        self, tiny_tmall_world, tiny_tower_config
+    ):
+        """Single-row batches have no in-batch negative, so no step runs."""
+        model = TwoTowerModel(
+            tiny_tmall_world.schema, tiny_tower_config,
+            rng=np.random.default_rng(1),
+        )
+        labels = tiny_tmall_world.interactions.label("ctr")
+        subset = tiny_tmall_world.interactions.subset(
+            np.flatnonzero(labels == 1.0)[:5]
+        )
+        with pytest.raises(ValueError, match="5 training rows at batch_size=1"):
+            RetrievalTrainer(epochs=1, batch_size=1).fit(model, subset)
+
+    def _model(self, world, config):
+        return TwoTowerModel(world.schema, config, rng=np.random.default_rng(1))
+
+    def test_early_stopping_on_a_missing_metric_raises(
+        self, tiny_tmall_world, tiny_tower_config
+    ):
+        trainer = RetrievalTrainer(
+            epochs=2, batch_size=256, early_stopping=EarlyStopping("valid_auc")
+        )
+        with pytest.raises(KeyError, match="valid_auc"):
+            trainer.fit(
+                self._model(tiny_tmall_world, tiny_tower_config),
+                tiny_tmall_world.interactions,
+            )
+
+    def test_early_stopping_on_the_loss(self, tiny_tmall_world, tiny_tower_config):
+        world = tiny_tmall_world
+        minimise = RetrievalTrainer(
+            epochs=3, batch_size=256, lr=3e-3,
+            early_stopping=EarlyStopping("loss", mode="min", patience=1),
+        )
+        assert minimise.fit(
+            self._model(world, tiny_tower_config), world.interactions
+        ).n_epochs == 3  # the loss falls every epoch
+
+        # The falling loss watched for "max" stops after epoch 2 and
+        # restores epoch 1's weights: those of a one-epoch fit.
+        stopped = self._model(world, tiny_tower_config)
+        history = RetrievalTrainer(
+            epochs=4, batch_size=256, lr=3e-3,
+            early_stopping=EarlyStopping("loss", mode="max", patience=1),
+        ).fit(stopped, world.interactions)
+        assert history.n_epochs == 2
+        one_epoch = self._model(world, tiny_tower_config)
+        RetrievalTrainer(epochs=1, batch_size=256, lr=3e-3).fit(
+            one_epoch, world.interactions
+        )
+        for key, value in one_epoch.state_dict().items():
+            np.testing.assert_array_equal(stopped.state_dict()[key], value)
+
+    def test_epochs_open_the_train_epoch_span(
+        self, tiny_tmall_world, tiny_tower_config
+    ):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            RetrievalTrainer(epochs=2, batch_size=256).fit(
+                self._model(tiny_tmall_world, tiny_tower_config),
+                tiny_tmall_world.interactions,
+            )
+        assert tracer.stats("train.epoch").calls == 2
 
 
 class TestRecallEvaluation:

@@ -1,5 +1,7 @@
 """Trainer tests: loss descent, alternation semantics, history records."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,43 @@ class TestMultiTaskTrainer:
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             MultiTaskTrainer(lambda_vppv=-1.0)
+
+
+class TestSharedLoop:
+    """Behaviour every trainer gets from the one epoch loop."""
+
+    @pytest.mark.parametrize(
+        "trainer_class, model_class",
+        [(TwoTowerTrainer, TwoTowerModel), (ATNNTrainer, ATNN)],
+    )
+    def test_empty_training_set_raises(
+        self, trainer_class, model_class, tiny_tmall_world, tiny_tower_config,
+        small_split,
+    ):
+        train, _ = small_split
+        model = model_class(
+            tiny_tmall_world.schema, tiny_tower_config,
+            rng=np.random.default_rng(1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            with pytest.raises(ValueError, match="0 training rows at batch_size=512"):
+                trainer_class(epochs=1).fit(model, train.subset(np.arange(0)))
+
+    def test_empty_multitask_training_set_raises(
+        self, tiny_eleme_world, tiny_tower_config, eleme_split
+    ):
+        train, _ = eleme_split
+        model = MultiTaskATNN(
+            tiny_eleme_world.schema, tiny_tower_config,
+            rng=np.random.default_rng(1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="0 training rows at batch_size=128"):
+                MultiTaskTrainer(epochs=1, batch_size=128).fit(
+                    model, train.subset(np.arange(0))
+                )
 
 
 class TestTrainingHistory:
