@@ -312,6 +312,73 @@ def test_bench_monitor_overhead(micro_world, micro_model, save_report, tmp_path)
     )
 
 
+def test_bench_monitor_refresh_scaling(save_report):
+    """An incremental refresh costs the monitor O(changed slots).
+
+    Times the monitor calls of one incremental refresh -- the score-drift
+    update for 10 re-scored slots and 2 arrivals, the divergence sample
+    for the 10 slots and the alert evaluation -- on a 20k and a 200k
+    catalogue, interleaved, best of each.  The 200k catalogue may cost
+    at most twice the 20k one.  The numbers land in
+    ``benchmarks/results/monitor_refresh_scaling.txt``.
+    """
+    import time as _time
+
+    from repro.obs import QualityMonitor
+
+    sizes = (20_000, 200_000)
+    rounds, calls = 7, 200
+
+    def setup(size):
+        rng = np.random.default_rng(size)
+        # Room for every arrival; each call hands the monitor a longer
+        # view of the same buffer, as the engine hands it a new array.
+        buf = rng.beta(2, 5, size + 2 * rounds * calls)
+        monitor = QualityMonitor(sinks=())
+        monitor.attach_catalogue(size)
+        monitor.observe_scores(buf[:size])  # freezes the reference
+        scores = buf[:size]
+        monitor.observe_scores(scores)  # keeps the catalogue's bins
+        return {"monitor": monitor, "buf": buf, "scores": scores, "rng": rng}
+
+    def refresh(state):
+        monitor, buf, previous = state["monitor"], state["buf"], state["scores"]
+        rng = state["rng"]
+        slots = np.unique(rng.integers(0, previous.size, 10))
+        scores = buf[: previous.size + 2]
+        scores[slots] = rng.beta(2, 5, slots.size)
+        vectors = rng.normal(size=(slots.size, 16))
+        start = _time.perf_counter()
+        monitor.attach_catalogue(scores.size)
+        monitor.observe_rescored(scores, slots, previous)
+        monitor.observe_divergence(slots, vectors, vectors + 0.1)
+        monitor.evaluate()
+        state["scores"] = scores
+        return _time.perf_counter() - start
+
+    states = {size: setup(size) for size in sizes}
+    best = {size: np.inf for size in sizes}
+    for _ in range(rounds):
+        for size in sizes:
+            seconds = sum(refresh(states[size]) for _ in range(calls))
+            best[size] = min(best[size], seconds / calls)
+    ratio = best[sizes[1]] / best[sizes[0]]
+    save_report(
+        "monitor_refresh_scaling",
+        "monitor cost of one incremental refresh (10 re-scored slots, "
+        f"2 arrivals; best of {rounds} rounds of {calls})\n"
+        + "".join(
+            f"  {size:>7,} slots: {best[size] * 1e6:7.1f} us\n"
+            for size in sizes
+        )
+        + f"  ratio           : {ratio:.3f} (bound 2.0)",
+    )
+    assert ratio < 2.0, (
+        f"the monitor's incremental refresh grew {ratio:.2f}x from "
+        f"{sizes[0]:,} to {sizes[1]:,} slots"
+    )
+
+
 def test_bench_gbdt_fit(benchmark):
     """Fit a 10-tree GBDT on 10k x 20 features."""
     rng = np.random.default_rng(0)

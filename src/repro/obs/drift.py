@@ -19,7 +19,7 @@ fixed equal-width bins, so updates are O(batch) and memory is O(bins).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -105,6 +105,8 @@ class DriftDetector:
             raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
         if reference_size < 1:
             raise ValueError(f"reference_size must be >= 1, got {reference_size}")
+        if alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
         self.n_bins = n_bins
         self.lo = float(lo)
         self.hi = float(hi)
@@ -113,28 +115,57 @@ class DriftDetector:
         self.alpha = alpha
         self._reference = np.zeros(n_bins)
         self._n_reference = 0
+        # The smoothed reference distribution, computed once it freezes.
+        self._reference_p: Optional[np.ndarray] = None
         self._live = SlidingBlocks((n_bins,), window=window)
 
     # ------------------------------------------------------------------
-    def _bin(self, values: np.ndarray) -> np.ndarray:
+    def bin(self, values) -> np.ndarray:
+        """Bin index of each value.
+
+        Values outside ``[lo, hi]``, infinities included, clamp into the
+        edge bins.  ``NaN`` maps to ``n_bins``, one past the last bin:
+        it is no observation, and no histogram counts it.
+        """
+        values = np.asarray(values, dtype=float)
         scaled = (values - self.lo) / (self.hi - self.lo) * self.n_bins
-        return np.clip(scaled.astype(np.int64), 0, self.n_bins - 1)
+        # Clip in float: a cast first would wrap +inf and values past
+        # 2**63 to the bottom bin.
+        np.clip(scaled, 0, self.n_bins - 1, out=scaled)
+        scaled[np.isnan(scaled)] = self.n_bins
+        return scaled.astype(np.int64)
 
     def update(self, values) -> None:
-        """Fold a batch of observations into the detector."""
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            return
+        """Fold a batch of observations into the detector (NaN skipped)."""
+        bins = self.bin(np.asarray(values, dtype=float).ravel())
         remaining = self.reference_size - self._n_reference
         if remaining > 0:
-            head, values = values[:remaining], values[remaining:]
-            self._reference += np.bincount(
-                self._bin(head), minlength=self.n_bins
-            )
+            bins = bins[bins < self.n_bins]
+            head, bins = bins[:remaining], bins[remaining:]
+            self._reference += np.bincount(head, minlength=self.n_bins)
             self._n_reference += head.size
-        if values.size:
-            counts = np.bincount(self._bin(values), minlength=self.n_bins)
-            self._live.add(values.size, counts.astype(float))
+        if bins.size:
+            counts = np.bincount(bins, minlength=self.n_bins + 1)
+            self.update_counts(counts[: self.n_bins])
+
+    def update_counts(self, counts) -> None:
+        """Fold one binned batch, given as its per-bin counts, into the
+        live window.
+
+        The same as :meth:`update` with the batch's values once the
+        reference has frozen; before that the reference needs the values
+        in order, so this raises.
+        """
+        if not self.reference_frozen:
+            raise ValueError("update_counts needs a frozen reference")
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != (self.n_bins,):
+            raise ValueError(
+                f"counts must have shape ({self.n_bins},), got {counts.shape}"
+            )
+        n_observations = int(counts.sum())
+        if n_observations:
+            self._live.add(n_observations, counts)
 
     # ------------------------------------------------------------------
     @property
@@ -154,25 +185,35 @@ class DriftDetector:
         """Whether both windows hold enough data to compare."""
         return self.reference_frozen and self._live.count >= self.min_live
 
+    def divergences(self) -> Tuple[Optional[float], Optional[float]]:
+        """Windowed ``(PSI, KL(live || reference))`` from one pass over
+        the live window (``(None, None)`` while warming up)."""
+        if not self.ready:
+            return None, None
+        if self._reference_p is None:
+            p = self._reference + self.alpha
+            self._reference_p = p / p.sum()
+        p = self._reference_p
+        (q,) = self._live.totals()
+        q += self.alpha
+        q /= q.sum()
+        log_ratio = np.log(q / p)
+        return float(np.sum((q - p) * log_ratio)), float(np.sum(q * log_ratio))
+
     def psi(self) -> Optional[float]:
         """Windowed PSI against the reference (None while warming up)."""
-        if not self.ready:
-            return None
-        (live,) = self._live.totals()
-        return psi(self._reference, live, alpha=self.alpha)
+        return self.divergences()[0]
 
     def kl(self) -> Optional[float]:
         """Windowed ``KL(live || reference)`` (None while warming up)."""
-        if not self.ready:
-            return None
-        (live,) = self._live.totals()
-        return kl_divergence(self._reference, live, alpha=self.alpha)
+        return self.divergences()[1]
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-friendly state: divergences plus window occupancy."""
+        psi_value, kl_value = self.divergences()
         return {
-            "psi": self.psi(),
-            "kl": self.kl(),
+            "psi": psi_value,
+            "kl": kl_value,
             "n_reference": self._n_reference,
             "n_live": self._live.count,
             "ready": self.ready,
@@ -182,4 +223,5 @@ class DriftDetector:
         """Re-open the reference window (e.g. after a planned model swap)."""
         self._reference = np.zeros(self.n_bins)
         self._n_reference = 0
+        self._reference_p = None
         self._live.reset()

@@ -43,7 +43,7 @@ from repro.obs.context import (
     register_request_observer,
     unregister_request_observer,
 )
-from repro.obs.metrics import get_active_registry
+from repro.obs.quality import GaugeMirror
 
 __all__ = [
     "SLO",
@@ -473,6 +473,7 @@ class SLOTracker:
         self.evaluate_every = evaluate_every
         self.requests_seen = 0
         self._since_evaluate = 0
+        self._gauges = GaugeMirror()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -556,11 +557,7 @@ class SLOTracker:
         """
         self._since_evaluate = 0
         snapshot = self.snapshot()
-        registry = get_active_registry()
-        if registry is not None:
-            for name, value in snapshot.items():
-                if isinstance(value, (int, float)) and math.isfinite(value):
-                    registry.gauge(name).set(value)
+        self._gauges.mirror(snapshot)
         return self.alerts.evaluate(snapshot)
 
     # ------------------------------------------------------------------

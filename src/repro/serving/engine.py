@@ -149,6 +149,9 @@ class RealTimeEngine:
         self.predictor.fit_user_group(user_group)
         # Handed to callers by scores()/last_scores: copy-on-write.
         self._scores: Optional[np.ndarray] = None
+        # ``_scores`` as the last refresh left it, which tells the monitor
+        # what its incremental score-drift update starts from.
+        self._refreshed_scores: Optional[np.ndarray] = None
         # Engine-private ``[:n]`` views of capacity-doubling buffers; the
         # index copies rows on add/update, so refreshes write in place.
         self._item_buf: Optional[np.ndarray] = None
@@ -420,19 +423,28 @@ class RealTimeEngine:
         monitor = get_active_monitor()
         if monitor is not None:
             monitor.attach_catalogue(n, self.config.warm_view_threshold)
-            monitor.observe_scores(self._scores)
+            if full:
+                monitor.observe_scores(self._scores)
+            else:
+                # Since the last refresh only the stale slots were
+                # re-scored, and arrivals appended.
+                monitor.observe_rescored(
+                    self._scores, stale, self._refreshed_scores
+                )
             if stale.size:
                 monitor.observe_divergence(
                     stale, self._generator_vectors[stale], item_vectors[stale]
                 )
             monitor.evaluate()
+        self._refreshed_scores = self._scores
         tracker = get_active_slo_tracker()
         if tracker is not None:
-            # Quality SLOs ride the monitor snapshot; the explicit
-            # evaluate keeps SLO alerting on the refresh cadence even in
-            # quiet traffic (below the tracker's auto-evaluate stride).
+            # Quality SLOs ride the snapshot the monitor's rules just
+            # read; the explicit evaluate keeps SLO alerting on the
+            # refresh cadence even in quiet traffic (below the tracker's
+            # auto-evaluate stride).
             if monitor is not None:
-                tracker.observe_quality(monitor.snapshot())
+                tracker.observe_quality(monitor.last_snapshot)
             tracker.evaluate()
         return self._scores
 

@@ -200,22 +200,22 @@ def join_outcome_columns(
     click label, a deliberate simplification).
     """
     view_mask = kinds == KIND_CODES[EventKind.VIEW]
-    click_mask = kinds == KIND_CODES[EventKind.CLICK]
     items_v = items[view_mask]
     users_v = users[view_mask]
     ts_v = timestamps[view_mask]
-    if items_v.size == 0:
-        empty = np.zeros(0, dtype=bool)
-        return items_v, users_v, ts_v, empty
-    if not click_mask.any():
+    click_mask = kinds == KIND_CODES[EventKind.CLICK]
+    if items_v.size == 0 or not click_mask.any():
         return items_v, users_v, ts_v, np.zeros(items_v.size, dtype=bool)
-    # Composite (item, user) keys; users are >= -1 so shift keeps them
-    # non-negative inside the key.
-    stride = int(max(users_v.max(), users[click_mask].max())) + 2
+    # Composite (item, user) keys; users are >= -1 so the shift keeps
+    # them non-negative inside the key.
+    stride = int(users.max()) + 2
     view_keys = items_v * stride + (users_v + 1)
-    click_keys = items[click_mask] * stride + (users[click_mask] + 1)
-    clicked = np.isin(view_keys, click_keys)
-    return items_v, users_v, ts_v, clicked
+    click_keys = np.sort(items[click_mask] * stride + (users[click_mask] + 1))
+    # Membership by binary search: on batch-sized arrays a sort plus
+    # searchsorted is several times faster than np.isin.
+    found = click_keys.searchsorted(view_keys)
+    np.minimum(found, click_keys.size - 1, out=found)
+    return items_v, users_v, ts_v, click_keys[found] == view_keys
 
 
 def join_click_outcomes(

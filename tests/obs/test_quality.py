@@ -1,5 +1,7 @@
 """Streaming quality estimators and the QualityMonitor façade."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,27 @@ class TestSlidingBlocks:
         # Retained span stays within [window, window + block).
         assert 100 <= blocks.count < 110
         assert blocks.total_seen == 500
+
+    @pytest.mark.parametrize("leftover", [0, 3])
+    def test_one_add_of_a_window_evicts_every_older_block(self, leftover):
+        blocks = SlidingBlocks((2,), window=100, block_size=12)
+        for _ in range(10):
+            blocks.add(20, np.array([1.0, 0.0]))
+        blocks.add(leftover, np.array([0.0, float(leftover)]))
+        blocks.add(100, np.array([0.0, 100.0]))
+        # Unsealed observations seal into the new block with it.
+        assert blocks.count == 100 + leftover
+        (total,) = blocks.totals()
+        assert total.tolist() == [0.0, 100.0 + leftover]
+
+    def test_one_add_short_of_a_window_keeps_an_older_block(self):
+        blocks = SlidingBlocks((2,), window=100, block_size=12)
+        for _ in range(10):
+            blocks.add(20, np.array([1.0, 0.0]))
+        blocks.add(99, np.array([0.0, 99.0]))
+        assert blocks.count == 119
+        (total,) = blocks.totals()
+        assert total.tolist() == [1.0, 99.0]
 
     def test_totals_are_fresh_copies(self):
         blocks = SlidingBlocks((2,))
@@ -92,6 +115,25 @@ class TestStreamingAUC:
             StreamingAUC().update([1.0, 0.0], [0.5])
 
 
+    def test_infinite_scores_land_in_the_edge_bins(self):
+        auc = StreamingAUC(n_bins=4)
+        # +inf is the top score and -inf the bottom one, so the positive
+        # outranks the negative.
+        auc.update([1.0, 0.0], [np.inf, -np.inf])
+        assert auc.value == 1.0
+        huge = StreamingAUC(n_bins=4)
+        huge.update([1.0, 0.0], [2.0**70, 0.5])
+        assert huge.value == 1.0
+
+    def test_nan_scores_are_left_out(self):
+        auc = StreamingAUC(n_bins=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            auc.update([1.0, 0.0, 1.0, 0.0], [0.9, 0.2, np.nan, np.nan])
+        assert auc.count == 2
+        assert auc.value == 1.0
+
+
 class TestWindowedECE:
     def test_matches_exact_calibration_error_on_full_window(self):
         rng = np.random.default_rng(11)
@@ -118,6 +160,17 @@ class TestWindowedECE:
         assert estimator.value < 0.02
 
 
+    def test_nan_probabilities_are_left_out(self):
+        ece = WindowedECE(n_bins=10)
+        labels = np.array([1.0, 0.0, 1.0, 1.0])
+        probabilities = np.array([0.8, 0.3, np.nan, 0.6])
+        ece.update(labels, probabilities)
+        assert ece.count == 3
+        assert ece.value == pytest.approx(
+            calibration_error(labels[[0, 1, 3]], probabilities[[0, 1, 3]], 10)
+        )
+
+
 class TestCohortCTR:
     def test_per_cohort_rates(self):
         ctr = CohortCTR()
@@ -130,6 +183,15 @@ class TestCohortCTR:
         snapshot = ctr.snapshot()
         assert snapshot["cold"]["impressions"] == 200
         assert snapshot["cold"]["clicks"] == 40
+
+    def test_ctrs_read_every_cohort_at_once(self):
+        ctr = CohortCTR(window=100, block_size=50)
+        ctr.record("warm", 60, 6)
+        ctr.record("cold", 80, 2)
+        ctr.record("idle", 0, 1)
+        assert list(ctr.ctrs()) == ctr.cohorts() == ["cold", "idle", "warm"]
+        assert ctr.ctrs() == {name: ctr.ctr(name) for name in ctr.cohorts()}
+        assert ctr.ctrs()["idle"] is None
 
     def test_windowed_rotation(self):
         ctr = CohortCTR(window=100, block_size=50)
@@ -356,6 +418,140 @@ class TestQualityMonitor:
     def test_default_rules_have_unique_names(self):
         rules = default_quality_rules()
         assert len({rule.name for rule in rules}) == len(rules)
+
+
+class TestScoreDriftChannel:
+    """observe_rescored is observe_scores at the cost of the changed slots."""
+
+    def _twins(self, **kwargs):
+        return QualityMonitor(**kwargs), QualityMonitor(**kwargs)
+
+    def _assert_same_drift(self, a, b):
+        assert a.score_drift.n_reference == b.score_drift.n_reference
+        assert a.score_drift.n_live == b.score_drift.n_live
+        assert np.array_equal(a.score_drift._reference, b.score_drift._reference)
+        for x, y in zip(a.score_drift._live.totals(), b.score_drift._live.totals()):
+            assert np.array_equal(x, y)
+        assert a.score_drift.divergences() == b.score_drift.divergences()
+        assert a.score_emissions == b.score_emissions
+
+    @pytest.mark.parametrize("size", [150, 700])
+    def test_matches_full_passes(self, size):
+        rng = np.random.default_rng(size)
+        full, incremental = self._twins(drift_reference=400, drift_window=500)
+        scores = rng.beta(2, 5, size)
+        previous = None
+        for step in range(12):
+            if step:
+                scores = scores.copy()
+                slots = np.sort(rng.choice(scores.size, 7, replace=False))
+                scores[slots] = rng.beta(5, 2, slots.size)
+                if step % 3 == 0:  # arrivals, some re-scored right away
+                    scores = np.concatenate([scores, rng.beta(2, 2, 5)])
+                    slots = np.append(slots, scores.size - 2)
+            else:
+                slots = np.zeros(0, dtype=np.int64)
+            full.observe_scores(scores)
+            incremental.observe_rescored(scores, slots, previous)
+            previous = scores
+            self._assert_same_drift(full, incremental)
+
+    def test_a_previous_it_did_not_bin_is_a_full_pass(self):
+        rng = np.random.default_rng(1)
+        full, incremental = self._twins(drift_reference=100, drift_window=100)
+        first = rng.beta(2, 5, 300)
+        for monitor in (full, incremental):
+            monitor.observe_scores(first)
+            monitor.observe_scores(first)
+        # The caller changed every slot, but claims a previous array the
+        # monitor never saw: the monitor must not trust the slot list.
+        second = rng.beta(5, 2, 300)
+        full.observe_scores(second)
+        incremental.observe_rescored(second, np.array([0]), first.copy())
+        self._assert_same_drift(full, incremental)
+
+    def test_nan_scores_stay_out_of_the_histogram(self):
+        full, incremental = self._twins(drift_reference=10, drift_window=100)
+        scores = np.linspace(0.0, 1.0, 40)
+        for monitor in (full, incremental):
+            monitor.observe_scores(scores)
+        rescored = scores.copy()
+        rescored[[3, 5]] = [np.nan, np.inf]
+        full.observe_scores(rescored)
+        incremental.observe_rescored(rescored, np.array([3, 5]), scores)
+        self._assert_same_drift(full, incremental)
+        # 30 of the first 40 scores went live after the 10 of the
+        # reference; the NaN of the second pass is no observation.
+        assert incremental.score_drift.n_live == 30 + 39
+
+    def test_unsorted_slots_with_repeats(self):
+        full, incremental = self._twins(drift_reference=10, drift_window=100)
+        scores = np.linspace(0.0, 1.0, 40)
+        for monitor in (full, incremental):
+            monitor.observe_scores(scores)
+            monitor.observe_scores(scores)
+        rescored = scores.copy()
+        rescored[[9, 2]] = [0.95, 0.99]
+        full.observe_scores(rescored)
+        incremental.observe_rescored(rescored, np.array([9, 2, 9]), scores)
+        self._assert_same_drift(full, incremental)
+
+
+class TestOneSnapshotPerRefresh:
+    def test_evaluate_keeps_its_snapshot(self):
+        monitor = QualityMonitor(min_outcomes=1, sinks=())
+        monitor.attach_catalogue(4)
+        assert monitor.last_snapshot is None
+        monitor.evaluate()
+        assert monitor.last_snapshot == monitor.snapshot()
+
+    def test_gauges_follow_the_active_registry(self):
+        monitor = QualityMonitor(sinks=())
+        monitor.attach_catalogue(4)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        with use_registry(first):
+            monitor.evaluate()
+        monitor.impressions_seen = 7
+        with use_registry(second):
+            monitor.evaluate()
+        assert first.gauge("quality.impressions").value == 0.0
+        assert second.gauge("quality.impressions").value == 7.0
+        monitor.impressions_seen = 9
+        with use_registry(first):
+            monitor.evaluate()
+        assert first.gauge("quality.impressions").value == 9.0
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("size", [0, 1, 5, 300])
+    def test_matches_np_unique(self, size):
+        from repro.obs.quality import _sorted_unique
+
+        values = np.random.default_rng(size).integers(0, 50, size)
+        assert np.array_equal(_sorted_unique(values), np.unique(values))
+
+
+class TestJoinOutcomeColumns:
+    def test_matches_the_isin_join(self):
+        from repro.serving.events import join_outcome_columns
+
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(0, 60))
+            kinds = rng.integers(0, 6, n)
+            items = rng.integers(0, 8, n)
+            users = rng.integers(-1, 5, n)
+            timestamps = rng.random(n)
+            got = join_outcome_columns(kinds, items, users, timestamps)
+            views, clicks = kinds == 0, kinds == 1
+            view_pairs = list(zip(items[views], users[views]))
+            click_pairs = set(zip(items[clicks], users[clicks]))
+            expected = [pair in click_pairs for pair in view_pairs]
+            assert got[0].tolist() == items[views].tolist()
+            assert got[1].tolist() == users[views].tolist()
+            assert got[2].tolist() == timestamps[views].tolist()
+            assert got[3].dtype == bool
+            assert got[3].tolist() == expected
 
 
 class TestUseMonitor:
