@@ -795,12 +795,7 @@ class Tensor:
             raise TypeError(f"embedding indices must be integers, got {indices.dtype}")
         if weight.ndim != 2:
             raise ValueError(f"embedding weight must be 2-D, got {weight.shape}")
-        vocab = weight.shape[0]
-        if indices.size and (indices.min() < 0 or indices.max() >= vocab):
-            raise IndexError(
-                f"embedding index out of range [0, {vocab}): "
-                f"min={indices.min()}, max={indices.max()}"
-            )
+        _check_embedding_bounds([weight], [indices])
         value = weight.data[indices]
 
         def backward(grad: np.ndarray):
@@ -1000,12 +995,7 @@ class Tensor:
                 raise ValueError(
                     f"embedding weight must be 2-D, got {weight.shape}"
                 )
-            vocab = weight.shape[0]
-            if indices.size and (indices.min() < 0 or indices.max() >= vocab):
-                raise IndexError(
-                    f"embedding index out of range [0, {vocab}): "
-                    f"min={indices.min()}, max={indices.max()}"
-                )
+        _check_embedding_bounds(weights, indices_list)
         dims = [weight.shape[1] for weight in weights]
         splits = []
         offset = 0
@@ -1030,6 +1020,29 @@ class Tensor:
             )
 
         return Tensor._make(value, tuple(weights), backward, owns_grads=True)
+
+
+def _check_embedding_bounds(
+    weights: Sequence[Tensor], indices_list: Sequence[np.ndarray]
+) -> None:
+    """Raise ``IndexError`` unless every index is in ``[0, vocab)`` of its table.
+
+    One vectorised pass over all tables: cast to ``uint64``, a negative
+    index wraps past any vocabulary size, so a single ``>=`` against each
+    table's size catches both ends.  The index arrays must share a shape.
+    The min/max for the message are computed only when the check fails.
+    """
+    stacked = np.stack(indices_list, dtype=np.uint64, casting="unsafe")
+    vocabs = np.array([weight.shape[0] for weight in weights], dtype=np.uint64)
+    if not (stacked >= vocabs.reshape((-1,) + (1,) * (stacked.ndim - 1))).any():
+        return
+    for weight, indices in zip(weights, indices_list):
+        vocab = weight.shape[0]
+        if indices.min() < 0 or indices.max() >= vocab:
+            raise IndexError(
+                f"embedding index out of range [0, {vocab}): "
+                f"min={indices.min()}, max={indices.max()}"
+            )
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.core.atnn import ATNN
 from repro.core.popularity import PopularityPredictor
 from repro.data.dataset import FeatureTable
 from repro.data.schema import GROUP_ITEM_PROFILE, GROUP_ITEM_STAT, GROUP_USER
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import get_default_dtype, no_grad
 from repro.obs.context import request_scope
 from repro.obs.metrics import get_active_registry
 from repro.obs.quality import get_active_monitor
@@ -42,6 +42,10 @@ from repro.utils.buffers import grow_rows
 __all__ = ["EngineConfig", "RealTimeEngine"]
 
 _VIEW = KIND_CODES[EventKind.VIEW]
+
+# Most user vectors one engine keeps; the cache is cleared when full.
+# The benchmark's workloads see at most about 1.5k distinct users.
+_USER_VECTOR_CACHE_SIZE = 4096
 
 
 @contextmanager
@@ -178,6 +182,15 @@ class RealTimeEngine:
         self._index: Optional[MIPSIndex] = None
         self._events_seen = 0
         self._refreshes = 0
+        # Exact user-vector cache: user row key -> user tower output.  It
+        # is valid while ``_user_stamp`` -- the default dtype the tower
+        # assembles numerics in and the version of every user-tower
+        # parameter -- still matches.  The parameters are held from here
+        # on, so a request never walks the module tree.
+        self._user_columns = model.schema.all_column_names(GROUP_USER)
+        self._user_params = model.user_tower.parameters()
+        self._user_vectors: Dict[tuple, np.ndarray] = {}
+        self._user_stamp: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -603,6 +616,35 @@ class RealTimeEngine:
         best = np.argsort(-scores, kind="stable")[: self._order_k]
         self._order, self._order_scores = ids[best], scores[best]
 
+    def _user_row(
+        self, user_features: Dict[str, np.ndarray]
+    ) -> Tuple[Dict[str, np.ndarray], Optional[tuple]]:
+        """The validated one-row user columns and their cache key.
+
+        The key is each ``GROUP_USER`` column's dtype, shape and bytes in
+        schema order, so two rows share it only when the tower sees the
+        same input.  It is ``None`` -- never cached -- for an object
+        column, whose bytes are pointers rather than values.
+        """
+        columns: Dict[str, np.ndarray] = {}
+        shapes: Dict[str, tuple] = {}
+        key: list = []
+        for name in self._user_columns:
+            if name not in user_features:
+                missing = [n for n in self._user_columns if n not in user_features]
+                raise KeyError(f"missing user features: {missing}")
+            column = columns[name] = np.asarray(user_features[name])
+            if column.shape[:1] != (1,):
+                shapes[name] = column.shape
+            key.append((column.dtype, column.shape, column.tobytes()))
+        if shapes:
+            raise ValueError(
+                f"user features must be exactly one row, got shapes {shapes}"
+            )
+        if any(dtype.hasobject for dtype, _, _ in key):
+            return columns, None
+        return columns, tuple(key)
+
     def recommend_for_user(
         self, user_features: Dict[str, np.ndarray], k: int
     ) -> np.ndarray:
@@ -616,8 +658,13 @@ class RealTimeEngine:
             Number of recommendations.
 
         A ``k`` outside ``[1, catalogue size]`` and a column that is not
-        exactly one row are a ``ValueError``, raised before the user
-        tower runs.
+        exactly one row are a ``ValueError``, and a missing column is a
+        ``KeyError``, all raised before the user tower runs.
+
+        A user row served before, under the same user-tower weights and
+        default dtype, reuses its user vector instead of running the
+        tower again, so repeat users cost one search.  The reuse is
+        exact: the result equals the uncached one bit for bit.
         """
         # No enclosing engine.recommend span: the request scope already
         # times the whole request, and this path runs hot enough that a
@@ -629,24 +676,25 @@ class RealTimeEngine:
                 raise ValueError(
                     f"k must be in [1, {len(self._index)}], got {k}"
                 )
-            names = self.model.schema.all_column_names(GROUP_USER)
-            missing = [name for name in names if name not in user_features]
-            if missing:
-                raise KeyError(f"missing user features: {missing}")
-            columns = {name: np.asarray(user_features[name]) for name in names}
-            shapes = {
-                name: column.shape
-                for name, column in columns.items()
-                if column.shape[:1] != (1,)
-            }
-            if shapes:
-                raise ValueError(
-                    "user features must be exactly one row, got shapes "
-                    f"{shapes}"
-                )
+            columns, key = self._user_row(user_features)
             ctx.note("k", int(k))
-            with _inference(self.model), maybe_span("user_tower"):
-                user_vector = self.model.user_vectors(columns).data[0]
+            stamp = (
+                get_default_dtype(),
+                [param.version for param in self._user_params],
+            )
+            if stamp != self._user_stamp:
+                self._user_vectors.clear()
+                self._user_stamp = stamp
+            user_vector = self._user_vectors.get(key)
+            hit = user_vector is not None
+            ctx.note("user_vector_cache_hit", hit)
+            if not hit:
+                with _inference(self.model), maybe_span("user_tower"):
+                    user_vector = self.model.user_vectors(columns).data[0]
+                if key is not None:
+                    if len(self._user_vectors) >= _USER_VECTOR_CACHE_SIZE:
+                        self._user_vectors.clear()
+                    self._user_vectors[key] = user_vector
             head = self.model.scoring_head
             # Personalised top-k is a MIPS against this user's transformed
             # vector; bias + sigmoid are monotone so ranking by raw inner
@@ -655,6 +703,8 @@ class RealTimeEngine:
             registry = get_active_registry()
             if registry is not None:
                 registry.counter("engine.recommend_requests").inc()
+                if hit:
+                    registry.counter("engine.user_vector_hits").inc()
                 registry.histogram("engine.recommend_seconds").observe(
                     time.perf_counter() - start
                 )

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import ATNN, TowerConfig
+from repro.nn import default_dtype
+from repro.nn.optim import Adam
+from repro.nn.tensor import no_grad
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serving import (
     EngineConfig,
     Event,
@@ -227,6 +231,213 @@ class TestRealTimeEngine:
     def test_invalid_engine_config_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(warm_view_threshold=0)
+
+
+def _user_row(world, user, dtype=None):
+    return {
+        name: (
+            world.users[name][user : user + 1]
+            if dtype is None or world.users[name].dtype.kind == "f"
+            else world.users[name][user : user + 1].astype(dtype)
+        )
+        for name in world.schema.all_column_names("user")
+    }
+
+
+def _uncached_vector(model, row):
+    """The user tower run from scratch, as the engine runs it."""
+    model.eval()
+    with no_grad():
+        return model.user_tower(row).data[0]
+
+
+class TestUserVectorCache:
+    """Repeat users skip the tower; every answer equals the uncached one."""
+
+    @pytest.fixture
+    def model(self, tiny_tmall_world):
+        # Function-scoped: these tests write the weights.
+        return ATNN(
+            tiny_tmall_world.schema,
+            TowerConfig(vector_dim=8, deep_dims=(16, 8), head_dims=(16,),
+                        num_cross_layers=1),
+            rng=np.random.default_rng(5),
+        )
+
+    @pytest.fixture
+    def cached_engine(self, tiny_tmall_world, model):
+        return RealTimeEngine(
+            model,
+            tiny_tmall_world.new_items,
+            tiny_tmall_world.active_user_group(0.2),
+            EngineConfig(warm_view_threshold=5),
+        )
+
+    @pytest.fixture
+    def served(self, cached_engine, monkeypatch):
+        """Every query the engine searches its index with, and how many
+        times it runs the user tower."""
+        log = {"queries": [], "tower_calls": 0}
+        cached_engine.scores()
+        index = cached_engine.index
+        search = index.search
+
+        def spy_search(query, k):
+            log["queries"].append(np.array(query, copy=True))
+            return search(query, k)
+
+        monkeypatch.setattr(index, "search", spy_search)
+        model = cached_engine.model
+        user_vectors = model.user_vectors
+
+        def spy_user_vectors(features):
+            log["tower_calls"] += 1
+            return user_vectors(features)
+
+        monkeypatch.setattr(model, "user_vectors", spy_user_vectors)
+        return log
+
+    def _expect(self, engine, row, served, k=5):
+        """Serve ``row``; assert it equals the uncached answer bit for bit."""
+        model = engine.model
+        vector = _uncached_vector(model, row)
+        query = model.scoring_head.weight.data * vector
+        top = engine.recommend_for_user(row, k=k)
+        got = served["queries"][-1]
+        assert got.dtype == query.dtype
+        np.testing.assert_array_equal(got, query)
+        np.testing.assert_array_equal(top, engine.index.search(query, k)[0])
+
+    def test_replay_with_repeat_users_matches_uncached_tower(
+        self, cached_engine, served, tiny_tmall_world, rng
+    ):
+        users = rng.integers(0, 12, size=60)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for user in users:
+                self._expect(
+                    cached_engine, _user_row(tiny_tmall_world, user), served
+                )
+        distinct = np.unique(users).size
+        assert served["tower_calls"] == distinct
+        hits = registry.counter("engine.user_vector_hits").value
+        assert hits == users.size - distinct
+        assert registry.counter("engine.recommend_requests").value == users.size
+
+    @pytest.mark.parametrize(
+        "change", ["adam_step", "assign_", "load_state_dict", "to_dtype"]
+    )
+    def test_weight_change_forces_a_miss(
+        self, cached_engine, served, tiny_tmall_world, change
+    ):
+        engine = cached_engine
+        model = engine.model
+        row = _user_row(tiny_tmall_world, 3)
+        engine.recommend_for_user(row, k=5)
+        engine.recommend_for_user(row, k=5)
+        assert served["tower_calls"] == 1
+        before = served["queries"][-1]
+
+        tower = model.user_tower
+        if change == "adam_step":
+            optimizer = Adam(tower.parameters(), lr=0.05)
+            out = tower(row)
+            (out * out).sum().backward()
+            optimizer.step()
+        elif change == "assign_":
+            weight = tower.head.parameters()[0]
+            weight.assign_(weight.data * 2.0)
+        elif change == "load_state_dict":
+            other = ATNN(
+                tiny_tmall_world.schema,
+                TowerConfig(vector_dim=8, deep_dims=(16, 8), head_dims=(16,),
+                            num_cross_layers=1),
+                rng=np.random.default_rng(6),
+            )
+            tower.load_state_dict(other.user_tower.state_dict())
+        else:
+            tower.to_dtype(np.float32)
+
+        engine.recommend_for_user(row, k=5)
+        assert served["tower_calls"] == 2
+        assert not np.array_equal(served["queries"][-1], before)
+        self._expect(engine, row, served)
+
+    def test_default_dtype_change_forces_a_miss(
+        self, cached_engine, served, tiny_tmall_world
+    ):
+        # The tower assembles numeric columns in the default dtype.
+        row = _user_row(tiny_tmall_world, 4)
+        self._expect(cached_engine, row, served)
+        with default_dtype(np.float32):
+            self._expect(cached_engine, row, served)
+        self._expect(cached_engine, row, served)
+
+    def test_dtype_is_part_of_the_key(
+        self, cached_engine, served, tiny_tmall_world
+    ):
+        engine = cached_engine
+        rows = [
+            _user_row(tiny_tmall_world, 7, dtype=np.int32),
+            _user_row(tiny_tmall_world, 7, dtype=np.int64),
+        ]
+        # Same bytes, another dtype: a float column read as int64 is
+        # another user row.
+        reinterpreted = dict(rows[1])
+        reinterpreted["user_activity"] = rows[1]["user_activity"].view(np.int64)
+        rows.append(reinterpreted)
+        for row in rows + rows:
+            self._expect(engine, row, served)
+        assert served["tower_calls"] == 3
+        # An object column's bytes are pointers, not values: never cached.
+        boxed = dict(rows[1])
+        boxed["user_activity"] = rows[1]["user_activity"].astype(object)
+        for _ in range(2):
+            self._expect(engine, boxed, served)
+        assert served["tower_calls"] == 5
+
+    def test_cache_is_cleared_at_the_bound(
+        self, cached_engine, served, tiny_tmall_world, monkeypatch
+    ):
+        import repro.serving.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_USER_VECTOR_CACHE_SIZE", 3)
+        engine = cached_engine
+        rows = [_user_row(tiny_tmall_world, user) for user in range(4)]
+        for row in rows:
+            engine.recommend_for_user(row, k=5)
+            assert len(engine._user_vectors) <= 3
+        assert served["tower_calls"] == 4
+        engine.recommend_for_user(rows[3], k=5)  # kept after the clear
+        assert served["tower_calls"] == 4
+        for row in rows[:3]:  # dropped by the clear
+            self._expect(engine, row, served)
+        assert served["tower_calls"] == 4 + 3
+
+    def test_rejected_requests_leave_the_cache_unchanged(
+        self, cached_engine, served, tiny_tmall_world
+    ):
+        engine = cached_engine
+        row = _user_row(tiny_tmall_world, 2)
+        engine.recommend_for_user(row, k=5)
+        cache = dict(engine._user_vectors)
+        stamp = engine._user_stamp
+        missing = dict(_user_row(tiny_tmall_world, 9))
+        del missing["user_age_bucket"]
+        two_rows = {
+            name: tiny_tmall_world.users[name][:2]
+            for name in tiny_tmall_world.schema.all_column_names("user")
+        }
+        with pytest.raises(KeyError, match="user_age_bucket"):
+            engine.recommend_for_user(missing, k=5)
+        with pytest.raises(ValueError, match="one row"):
+            engine.recommend_for_user(two_rows, k=5)
+        with pytest.raises(ValueError, match="k must be"):
+            engine.recommend_for_user(_user_row(tiny_tmall_world, 9), k=0)
+        assert served["tower_calls"] == 1
+        assert engine._user_stamp is stamp
+        assert engine._user_vectors.keys() == cache.keys()
+        assert all(engine._user_vectors[key] is cache[key] for key in cache)
 
 
 class TestIncrementalRefresh:

@@ -371,6 +371,24 @@ class TestFusedEmbeddingBag:
             fused_embedding_bag([weight], [np.array([0.5, 1.5])])
         with pytest.raises(IndexError):
             fused_embedding_bag([weight], [np.array([0, 10])])
+        # The bounds check covers every table at once, whatever the
+        # integer dtypes; the message names the first bad table's range.
+        small = Parameter(rng.standard_normal((3, 2)))
+        with pytest.raises(IndexError, match=r"\[0, 3\): min=-1, max=0"):
+            fused_embedding_bag(
+                [weight, small],
+                [np.array([9, 0], dtype=np.int32), np.array([-1, 0])],
+            )
+        with pytest.raises(IndexError, match=r"\[0, 3\): min=0, max=3"):
+            fused_embedding_bag(
+                [weight, small],
+                [np.array([9, 0], dtype=np.uint64), np.array([0, 3])],
+            )
+        out = fused_embedding_bag(
+            [weight, small],
+            [np.array([9, 0], dtype=np.uint64), np.array([2, 0], dtype=np.int8)],
+        )
+        np.testing.assert_array_equal(out.data[:, 2:], small.data[[2, 0]])
         with pytest.raises(ValueError):
             fused_embedding_bag(
                 [weight, weight], [np.array([0, 1]), np.array([0])]

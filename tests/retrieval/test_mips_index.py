@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.tensor import default_dtype
@@ -22,10 +22,15 @@ def _naive_top_k(data: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
 
 
 def _lexsort_top_k(rows: np.ndarray, query: np.ndarray, k: int):
-    """Oracle: score every row in float64, rank by score then lower id."""
-    scores = (rows.astype(np.float64) * query.astype(np.float64)).sum(axis=1)
+    """Oracle: rank rows by :func:`exact_scores`, then by lower id."""
+    scores = exact_scores(rows, query)
     ids = np.lexsort((np.arange(scores.size), -scores))[:k]
     return ids, scores[ids]
+
+
+def _pairwise_scores(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The same float64 inner products, rounded by a pairwise sum."""
+    return (rows.astype(np.float64) * query.astype(np.float64)).sum(axis=1)
 
 
 def _spread_rows(rng, n, dim):
@@ -88,6 +93,27 @@ class TestBruteForceParity:
             np.testing.assert_allclose(one_scores, batch_scores[row])
 
 
+def _assert_orders_differ_by_rounding(rows, query, pairwise, tolerance):
+    """Rows the pairwise sum orders unlike the oracle score within rounding.
+
+    Rows ``j`` before ``l`` by :func:`exact_scores` but after it by the
+    pairwise sum can only be a near-tie: their pairwise scores differ by
+    at most the two rows' rounding tolerances.
+    """
+    n = rows.shape[0]
+    exact_rank = np.empty(n, dtype=np.int64)
+    exact_rank[_lexsort_top_k(rows, query, n)[0]] = np.arange(n)
+    pairwise_rank = np.empty(n, dtype=np.int64)
+    pairwise_rank[np.lexsort((np.arange(n), -pairwise))] = np.arange(n)
+    swapped = (exact_rank[:, None] < exact_rank[None, :]) & (
+        pairwise_rank[:, None] > pairwise_rank[None, :]
+    )
+    j, l = np.nonzero(swapped)
+    assert np.all(
+        np.abs(pairwise[j] - pairwise[l]) <= tolerance[j] + tolerance[l]
+    )
+
+
 class TestExactSearch:
     """The two-pass search returns the float64 lexsort oracle's top-k.
 
@@ -105,6 +131,9 @@ class TestExactSearch:
             max_size=6,
         ),
     )
+    # Rows 95 and 57 are 2.6e-15 apart: a pairwise-sum oracle rounds them
+    # to one score and ranked them the wrong way round.
+    @example(seed=1836, dim=9, dtype=np.float64, ops=["add", "grow", "shrink"])
     def test_matches_lexsort_oracle(self, seed, dim, dtype, ops):
         rng = np.random.default_rng(seed)
         index = BruteForceIndex(dim, dtype=dtype)
@@ -131,15 +160,21 @@ class TestExactSearch:
                 assert ids.shape == scores.shape == (queries.shape[0], k)
                 assert scores.dtype == dtype
                 for row, query in enumerate(queries):
-                    expected, exact = _lexsort_top_k(
-                        stored, query.astype(dtype), k
-                    )
+                    query = query.astype(dtype)
+                    expected, _ = _lexsort_top_k(stored, query, k)
                     np.testing.assert_array_equal(ids[row], expected)
-                    # The oracle sums in another order: ids agree exactly,
-                    # scores to rounding relative to sum |x_i q_i|.
-                    scale = np.abs(stored[expected]) @ np.abs(query.astype(dtype))
+                    # A pairwise sum rounds in another order: scores agree
+                    # to rounding relative to sum |x_i q_i|.
+                    pairwise = _pairwise_scores(stored, query)
+                    scale = np.abs(stored) @ np.abs(query)
                     tolerance = (dim + 4) * np.finfo(dtype).eps * scale
-                    assert np.all(np.abs(scores[row] - exact) <= tolerance)
+                    assert np.all(
+                        np.abs(scores[row] - pairwise[expected])
+                        <= tolerance[expected]
+                    )
+                    _assert_orders_differ_by_rounding(
+                        stored, query, pairwise, tolerance
+                    )
                 single_ids, _ = index.search(queries[0], k)
                 np.testing.assert_array_equal(single_ids, ids[0])
 
