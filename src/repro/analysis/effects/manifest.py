@@ -46,7 +46,8 @@ class ManifestEntry:
     name: str  # literal name, or pattern like "trainer.grad_norm.*"
     kind: str  # "counter" | "gauge" | "histogram" | "span"
     dynamic: bool  # True when the name has a non-literal component
-    sites: List[Tuple[str, int]] = field(default_factory=list)
+    # (relpath, line, module-qualified enclosing function) per call site.
+    sites: List[Tuple[str, int, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -56,12 +57,18 @@ class NameManifest:
     entries: Dict[Tuple[str, str], ManifestEntry] = field(default_factory=dict)
 
     def add(
-        self, name: str, kind: str, dynamic: bool, relpath: str, line: int
+        self,
+        name: str,
+        kind: str,
+        dynamic: bool,
+        relpath: str,
+        line: int,
+        scope: str,
     ) -> None:
         entry = self.entries.setdefault(
             (name, kind), ManifestEntry(name=name, kind=kind, dynamic=dynamic)
         )
-        entry.sites.append((relpath, line))
+        entry.sites.append((relpath, line, scope))
 
     def kinds_for(self, name: str) -> List[str]:
         return sorted(kind for (n, kind) in self.entries if n == name)
@@ -115,6 +122,30 @@ def _classify_call(node: ast.Call) -> Optional[str]:
     return None
 
 
+def _module_name(relpath: str) -> str:
+    """``src/repro/obs/flight.py`` -> ``repro.obs.flight``."""
+    parts = Path(relpath).with_suffix("").parts
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def _scoped_calls(tree: ast.Module, module: str) -> Iterable[Tuple[ast.Call, str]]:
+    """Every call in ``tree`` with the qualname of its enclosing def/class."""
+    stack: List[Tuple[ast.AST, str]] = [(tree, module)]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, f"{scope}.{child.name}"))
+                continue
+            if isinstance(child, ast.Call):
+                yield child, scope
+            stack.append((child, scope))
+
+
 def build_manifest(paths: Iterable[Path], root: Path) -> NameManifest:
     """Scan python files for instrument/span registrations."""
     manifest = NameManifest()
@@ -124,9 +155,7 @@ def build_manifest(paths: Iterable[Path], root: Path) -> NameManifest:
             tree = ast.parse(path.read_text(encoding="utf-8"))
         except SyntaxError:
             continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, scope in _scoped_calls(tree, _module_name(relpath)):
             kind = _classify_call(node)
             if kind is None or not node.args:
                 continue
@@ -134,7 +163,7 @@ def build_manifest(paths: Iterable[Path], root: Path) -> NameManifest:
             if extracted is None:
                 continue
             name, dynamic = extracted
-            manifest.add(name, kind, dynamic, relpath, node.lineno)
+            manifest.add(name, kind, dynamic, relpath, node.lineno, scope)
     return manifest
 
 
@@ -150,7 +179,7 @@ def _conflict_diagnostics(manifest: NameManifest) -> List[Diagnostic]:
         metric_kinds = [k for k in kinds if k != "span"]
         if len(metric_kinds) > 1:
             sites = manifest.entries[(name, metric_kinds[0])].sites
-            relpath, line = sites[0]
+            relpath, line, _ = sites[0]
             out.append(
                 Diagnostic.make(
                     "EFF006",
@@ -165,7 +194,7 @@ def _conflict_diagnostics(manifest: NameManifest) -> List[Diagnostic]:
             )
         if "span" in kinds and metric_kinds:
             sites = manifest.entries[(name, "span")].sites
-            relpath, line = sites[0]
+            relpath, line, _ = sites[0]
             out.append(
                 Diagnostic.make(
                     "EFF006",
@@ -267,7 +296,10 @@ _MANIFEST_HEADER = """\
 Every instrument and span name the code can emit, extracted from the
 `counter(` / `gauge(` / `histogram(` / span call sites by
 [`repro.analysis.effects.manifest`](../src/repro/analysis/effects/manifest.py).
-Dynamic names (f-strings, variables) appear as `prefix.*` patterns.
+Each call site is named by its enclosing function, so the inventory
+changes only when the set of emitting functions does, not when lines
+move.  Dynamic names (f-strings, variables) appear as `prefix.*`
+patterns.
 The narrative docs live in [observability.md](observability.md); the
 analyzer cross-checks its metric tables against this inventory.
 """
@@ -291,8 +323,10 @@ def render_manifest(manifest: NameManifest) -> str:
         lines.append("| --- | --- |")
         for entry in entries:
             sites = ", ".join(
-                f"[{relpath}:{line}](../{relpath}#L{line})"
-                for relpath, line in sorted(set(entry.sites))
+                f"[`{scope}`](../{relpath})"
+                for scope, relpath in sorted(
+                    {(scope, relpath) for relpath, _, scope in entry.sites}
+                )
             )
             label = f"`{entry.name}`" + (" *(dynamic)*" if entry.dynamic else "")
             lines.append(f"| {label} | {sites} |")

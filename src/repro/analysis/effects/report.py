@@ -1,10 +1,10 @@
 """Render the thread-hostility report (``docs/thread_hostility.md``).
 
-The report is the work-list for the ROADMAP's sharded serving harness:
-one row per (channel, origin) pair that a ``RealTimeEngine`` entry point
+One row per (channel, origin) pair that a ``RealTimeEngine`` entry point
 can reach, with an example call path so a reader can audit the claim
-without re-running the analyzer.  CI regenerates it and fails on drift,
-so the committed copy always matches the code.
+without re-running the analyzer.  Origins are named by function, never
+by line, so the report changes only when the effects do.  CI regenerates
+it and fails on drift, so the committed copy always matches the code.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ _HEADER = """\
 Every module-global and ambient write the interprocedural effect
 analyzer ([`repro.analysis.effects`](../src/repro/analysis/effects/))
 proves reachable from a public `RealTimeEngine` entry point.  Each row
-is a hazard for running engine shards in threads: either the state must
-become per-engine (or lock-protected) before the sharded serving
-harness lands, or the corresponding `EFF003` baseline entry documents
-why it is acceptable to share.
+is state that two engines in one process share: running engines
+concurrently would first need it per-engine (or lock-protected), and
+the corresponding `EFF003` baseline entry documents why sharing it is
+acceptable today.  Origins are named by function, not line, so this
+file changes only when the effects do.
 
 Kinds: **global-write** — assignment to a module-level name;
 **ambient-write** — a write through an ambient `get_active_*` handle or
@@ -79,15 +80,15 @@ def render_thread_hostility(analysis: EffectAnalysis) -> str:
         entry_paths = analysis.reachable([entry_qualname])
         lines.append("| kind | channel | origin | example path |")
         lines.append("| --- | --- | --- | --- |")
-        for row in sorted(rows, key=lambda c: (c.kind, c.channel)):
-            origin = (
-                f"`{_short(row.origin)}` "
-                f"([{row.line}](../src/{analysis.functions[row.origin].relpath}))"
+        rendered = {
+            (row.kind, row.channel, row.origin): (
+                f"| {row.kind} | `{row.channel}` | "
+                f"[`{_short(row.origin)}`]"
+                f"(../src/{analysis.functions[row.origin].relpath}) "
+                f"| {_render_path(entry_paths.get(row.origin, row.path))} |"
             )
-            path = entry_paths.get(row.origin, row.path)
-            lines.append(
-                f"| {row.kind} | `{row.channel}` | {origin} "
-                f"| {_render_path(path)} |"
-            )
+            for row in rows
+        }
+        lines.extend(rendered[key] for key in sorted(rendered))
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -13,9 +13,9 @@ check themselves:
     is the static complement to the runtime GradSanitizer.
 ``EFF003`` thread-hostility
     A module-global or ambient write is reachable from a
-    ``RealTimeEngine`` serving entry point.  Every finding is a blocker
-    (or an explicitly accepted hazard) for the sharded serving harness;
-    the full set renders as ``docs/thread_hostility.md``.
+    ``RealTimeEngine`` serving entry point.  Every finding is state that
+    concurrent engines in one process would share, unless the baseline
+    accepts it; the full set renders as ``docs/thread_hostility.md``.
 ``EFF004`` ambient-discipline
     The ``_ACTIVE_*`` scope stacks may only be written by their module's
     own scoping constructs (``use_*`` / ``set_active_*`` /
@@ -262,9 +262,9 @@ def _thread_hostility(analysis: EffectAnalysis) -> List[Diagnostic]:
                 "EFF003",
                 ERROR,
                 f"write to {noun} '{hostile.channel}' is reachable from "
-                f"RealTimeEngine.{'/'.join(hostile.entries)}; serving "
-                "cannot shard until this is per-engine or accepted in "
-                "the baseline",
+                f"RealTimeEngine.{'/'.join(hostile.entries)}; engines "
+                "cannot run concurrently until this is per-engine or "
+                "accepted in the baseline",
                 location=f"{info.relpath}:{hostile.line}",
                 symbol=hostile.origin,
                 channel=hostile.channel,

@@ -97,26 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--spool-dir",
-        type=Path,
-        default=None,
-        help=(
-            "spool this run's mergeable telemetry snapshot frames to "
-            "this directory while it executes; a fleet collector "
-            "(python -m repro.obs.agg <dir>) merges the spools of several "
-            "runs, one per --shard-label, into one fleet-level view"
-        ),
-    )
-    parser.add_argument(
-        "--shard-label",
-        default=None,
-        help=(
-            "name this process's shard for the run: stamped on request "
-            "records, postmortem bundle names and spooled snapshot "
-            "frames so merged fleet views can attribute state"
-        ),
-    )
-    parser.add_argument(
         "--prometheus-out",
         type=Path,
         default=None,
@@ -173,7 +153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         or args.flight_out is not None
         or args.trace_out is not None
         or args.prometheus_out is not None
-        or args.spool_dir is not None
     )
     if needs_session:
         session = TelemetrySession(
@@ -183,8 +162,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             slo=args.slo,
             flight=args.flight_out is not None,
             postmortem_dir=args.flight_out,
-            spool_dir=args.spool_dir,
-            shard_label=args.shard_label,
         )
         session.start()
     sanitizer = None
@@ -231,10 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.telemetry is not None:
                 session.write_jsonl(args.telemetry)
                 print(f"[telemetry report written to {args.telemetry}]")
-            if session.shipper is not None:
-                print(
-                    f"[telemetry snapshots spooled to {session.shipper.spool_path}]"
-                )
             if args.prometheus_out is not None:
                 args.prometheus_out.parent.mkdir(parents=True, exist_ok=True)
                 args.prometheus_out.write_text(

@@ -1,6 +1,5 @@
 """Pipelines regenerating every table of the paper's evaluation."""
 
-from repro.experiments.agg_smoke import AggSmokeResult, agg_slos, run_agg_smoke
 from repro.experiments.ablations import (
     AblationResult,
     AblationRow,
@@ -48,9 +47,6 @@ from repro.experiments.table4 import PAPER_TABLE4, Table4Result, run_table4
 from repro.experiments.table5 import PAPER_TABLE5, Table5Result, run_table5
 
 __all__ = [
-    "AggSmokeResult",
-    "agg_slos",
-    "run_agg_smoke",
     "AblationResult",
     "AblationRow",
     "run_cross_depth_ablation",

@@ -7,7 +7,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.obs.logging import get_logger, kv
 
-from repro.experiments.agg_smoke import run_agg_smoke
 from repro.experiments.ablations import (
     run_cross_depth_ablation,
     run_embedding_sharing_ablation,
@@ -43,7 +42,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "serving-warmup": run_serving_eval,
     "serving-monitor": run_monitored_serving,
     "slo-smoke": run_slo_smoke,
-    "agg-smoke": run_agg_smoke,
     "retrieval": run_retrieval,
     "segmentation": run_segmentation,
     "training-curves": run_training_curves,

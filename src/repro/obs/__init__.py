@@ -1,6 +1,6 @@
 """Dependency-free telemetry layer: metrics, tracing, profiling, logging.
 
-The package provides four composable surfaces:
+The package provides these composable surfaces:
 
 * :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
   instruments in a :class:`MetricsRegistry`, with scoped activation so
@@ -27,25 +27,13 @@ The package provides four composable surfaces:
   ``python -m repro.obs.flight <bundle>``);
 * :mod:`repro.obs.session` — :class:`TelemetrySession`, which activates
   everything at once and renders JSONL/text run reports (the CLI's
-  ``--telemetry`` flag), plus Chrome-trace export;
-* :mod:`repro.obs.agg` — fleet aggregation for sharded serving: a
-  :class:`TelemetryShipper` spooling mergeable snapshot frames per
-  process and a :class:`TelemetryCollector` merging N spools into one
-  fleet-level view (``python -m repro.obs.agg``), with cross-process
-  trace stitching via :meth:`TraceContext.inject` /
-  :meth:`TraceContext.extract`.
+  ``--telemetry`` flag), plus Chrome-trace export.
 
 Only numpy and the standard library are used, and every hook is pay-for-
 what-you-use: with no active registry/tracer/profiler/monitor the
 instrumented hot paths skip telemetry entirely.
 """
 
-from repro.obs.agg import (
-    TelemetryCollector,
-    TelemetryShipper,
-    stitch_request_records,
-    stitched_chrome_trace,
-)
 from repro.obs.alerts import (
     Alert,
     AlertEngine,
@@ -63,13 +51,10 @@ from repro.obs.context import (
     RequestRecord,
     TraceContext,
     current_trace_context,
-    get_shard_label,
     new_trace_id,
     register_request_observer,
     request_scope,
-    set_shard_label,
     unregister_request_observer,
-    use_trace_context,
 )
 from repro.obs.flight import (
     FlightRecorder,
@@ -170,17 +155,10 @@ __all__ = [
     "RequestRecord",
     "TraceContext",
     "current_trace_context",
-    "get_shard_label",
     "new_trace_id",
     "register_request_observer",
     "request_scope",
-    "set_shard_label",
     "unregister_request_observer",
-    "use_trace_context",
-    "TelemetryCollector",
-    "TelemetryShipper",
-    "stitch_request_records",
-    "stitched_chrome_trace",
     "FlightRecorder",
     "get_active_flight_recorder",
     "load_bundle",

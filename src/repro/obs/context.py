@@ -42,18 +42,14 @@ __all__ = [
     "TraceContext",
     "RequestRecord",
     "current_trace_context",
-    "use_trace_context",
     "request_scope",
     "new_trace_id",
     "register_request_observer",
     "unregister_request_observer",
-    "get_shard_label",
-    "set_shard_label",
 ]
 
 # Process-unique prefix + monotonically increasing counter: cheap (no
-# entropy per call) yet collision-free across engines in one process and
-# overwhelmingly unlikely to collide across processes merging reports.
+# entropy per call) yet collision-free across engines in one process.
 _ID_PREFIX = os.urandom(4).hex()
 _ID_COUNTER = itertools.count(1)
 
@@ -65,25 +61,6 @@ MAX_SPANS_PER_REQUEST = 512
 def new_trace_id() -> str:
     """A process-unique trace identifier (hex prefix + sequence)."""
     return f"{_ID_PREFIX}-{next(_ID_COUNTER):08x}"
-
-
-# ----------------------------------------------------------------------
-# Process-wide shard label (set once by sharded workers; stamps request
-# records and flight-recorder bundle names so fleet artefacts are
-# attributable per shard).
-# ----------------------------------------------------------------------
-_SHARD_LABEL: Optional[str] = None
-
-
-def set_shard_label(label: Optional[str]) -> None:
-    """Name this process's shard (None clears the label)."""
-    global _SHARD_LABEL
-    _SHARD_LABEL = label
-
-
-def get_shard_label() -> Optional[str]:
-    """This process's shard label, or None outside sharded serving."""
-    return _SHARD_LABEL
 
 
 class TraceContext:
@@ -101,7 +78,7 @@ class TraceContext:
         Free-form label of the work unit (``"ingest"``, ``"refresh"``...).
     baggage:
         Small string-to-string map propagated to every child — use it for
-        routing keys (shard id, experiment arm), never for payloads.
+        routing keys such as an experiment arm, never for payloads.
     """
 
     __slots__ = (
@@ -113,13 +90,11 @@ class TraceContext:
         "spans",
         "decisions",
         "spans_dropped",
-        "remote",
     )
 
     def __init__(
         self,
         trace_id: Optional[str] = None,
-        span_id: Optional[str] = None,
         parent_id: Optional[str] = None,
         kind: str = "",
         baggage: Optional[Dict[str, str]] = None,
@@ -127,7 +102,7 @@ class TraceContext:
         decisions: Optional[Dict[str, object]] = None,
     ) -> None:
         self.trace_id = trace_id if trace_id is not None else new_trace_id()
-        self._span_id = span_id
+        self._span_id: Optional[str] = None
         self.parent_id = parent_id
         self.kind = kind
         self.baggage: Dict[str, str] = baggage if baggage is not None else {}
@@ -140,11 +115,6 @@ class TraceContext:
             decisions if decisions is not None else {}
         )
         self.spans_dropped = 0
-        # True for contexts rebuilt from an inject()-ed carrier: the
-        # sending process owns the parent span, so a request_scope under
-        # a remote context is this process's *local root* (it produces
-        # its own RequestRecord, chained to the sender via parent_id).
-        self.remote = False
 
     @property
     def span_id(self) -> str:
@@ -179,40 +149,6 @@ class TraceContext:
         """Record one engine decision (served count, cache hit, ...)."""
         self.decisions[key] = value
 
-    # ------------------------------------------------------------------
-    # Cross-process propagation
-    # ------------------------------------------------------------------
-    def inject(self) -> Dict[str, object]:
-        """Serialise this context for a process hop (JSON-friendly).
-
-        The carrier pins ``span_id`` (forcing lazy generation), so the
-        receiving process's requests chain to *this* span and the merged
-        trace renders router→shard as one tree.
-        """
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "baggage": dict(self.baggage),
-        }
-
-    @classmethod
-    def extract(cls, carrier: Dict[str, object]) -> "TraceContext":
-        """Rebuild a remote parent context from an :meth:`inject` carrier.
-
-        The returned context carries the sender's ``trace_id`` and
-        ``span_id`` and is marked ``remote``: activate it with
-        :class:`use_trace_context` and every :class:`request_scope`
-        opened inside becomes a local root chained to the sender.
-        """
-        context = cls(
-            trace_id=str(carrier["trace_id"]),
-            span_id=str(carrier["span_id"]),
-            kind="remote",
-            baggage=dict(carrier.get("baggage") or {}),  # type: ignore[arg-type]
-        )
-        context.remote = True
-        return context
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceContext(trace_id={self.trace_id!r}, kind={self.kind!r}, "
@@ -238,14 +174,6 @@ class RequestRecord:
     decisions: Dict[str, object] = field(default_factory=dict)
     spans: List[Tuple[str, float, float]] = field(default_factory=list)
     spans_dropped: int = 0
-    # Cross-process identity: the request's own span id (None when the
-    # context never minted one), the remote parent span it chains to,
-    # and the emitting process — these joins let a collector stitch
-    # bundles from different processes into one tree per trace_id.
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
-    pid: int = 0
-    shard: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly rendering (span starts relative to the request)."""
@@ -256,10 +184,6 @@ class RequestRecord:
             "duration_seconds": self.duration_seconds,
             "status": self.status,
             "error": self.error,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "pid": self.pid,
-            "shard": self.shard,
             "decisions": dict(self.decisions),
             "spans": [
                 {
@@ -311,29 +235,6 @@ def current_trace_context() -> Optional[TraceContext]:
     return _ACTIVE_CONTEXTS[-1] if _ACTIVE_CONTEXTS else None
 
 
-class use_trace_context:
-    """Context manager activating an externally built ``TraceContext``.
-
-    The serving engine uses :class:`request_scope`; this lower-level
-    scope exists for callers that carry a context across boundaries
-    (e.g. replaying a recorded request, or propagating a caller-supplied
-    trace into the engine).
-    """
-
-    def __init__(self, context: TraceContext) -> None:
-        self._context = context
-
-    def __enter__(self) -> TraceContext:
-        _ACTIVE_CONTEXTS.append(self._context)
-        return self._context
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        for position in range(len(_ACTIVE_CONTEXTS) - 1, -1, -1):
-            if _ACTIVE_CONTEXTS[position] is self._context:
-                del _ACTIVE_CONTEXTS[position]
-                break
-
-
 # ----------------------------------------------------------------------
 # Request observers (flight recorder, SLO tracker)
 # ----------------------------------------------------------------------
@@ -362,12 +263,9 @@ class request_scope:
     Entering with no active context opens a *root* request (fresh
     ``trace_id``); entering inside one opens a child span of the same
     trace and produces no separate observer record — the root accounts
-    for the nested work.  A *remote* parent (rebuilt via
-    :meth:`TraceContext.extract`) counts as no local parent: the scope
-    becomes this process's local root and produces its own record,
-    chained to the sender through ``parent_id``.  Exceptions mark the
-    request ``"error"`` and propagate after observers are notified (the
-    flight recorder uses that to dump a postmortem bundle).
+    for the nested work.  Exceptions mark the request ``"error"`` and
+    propagate after observers are notified (the flight recorder uses
+    that to dump a postmortem bundle).
     """
 
     __slots__ = ("kind", "baggage", "context", "_root", "_start_perf", "_start_unix")
@@ -382,14 +280,13 @@ class request_scope:
 
     def __enter__(self) -> TraceContext:
         parent = current_trace_context()
+        self._root = parent is None
         if parent is None:
             self.context = TraceContext(kind=self.kind, baggage=self.baggage)
-            self._root = True
         else:
             self.context = parent.child(self.kind)
             if self.baggage:
                 self.context.baggage.update(self.baggage)
-            self._root = parent.remote
         _ACTIVE_CONTEXTS.append(self.context)
         self._start_perf = time.perf_counter()
         if self._root and _REQUEST_OBSERVERS:
@@ -416,10 +313,6 @@ class request_scope:
             decisions=context.decisions,
             spans=context.spans,
             spans_dropped=context.spans_dropped,
-            span_id=context._span_id,
-            parent_id=context.parent_id,
-            pid=os.getpid(),
-            shard=_SHARD_LABEL,
         )
         for observer in list(_REQUEST_OBSERVERS):
             observer.on_request(record)

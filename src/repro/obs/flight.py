@@ -51,7 +51,6 @@ from repro.obs.alerts import (
 )
 from repro.obs.context import (
     RequestRecord,
-    get_shard_label,
     register_request_observer,
     unregister_request_observer,
 )
@@ -314,16 +313,20 @@ class FlightRecorder:
             raise ValueError(
                 "no directory given and the recorder has no postmortem_dir"
             )
-        # The name carries pid (and shard label when set): N shards
-        # dumping into a shared directory in the same second must not
-        # collide, and a fleet postmortem should be attributable at a
-        # glance.
-        shard = get_shard_label()
-        suffix = f"-p{os.getpid()}" + (f"-{_slug(shard)}" if shard else "")
-        bundle = base / (
-            f"postmortem-{len(self.dumps) + 1:03d}-{_slug(reason)}{suffix}"
-        )
-        bundle.mkdir(parents=True, exist_ok=True)
+        # The name carries the pid, so processes sharing a directory
+        # never collide; recorders within one process take the next free
+        # sequence number, so a dump never overwrites another's bundle.
+        base.mkdir(parents=True, exist_ok=True)
+        sequence = len(self.dumps) + 1
+        while True:
+            bundle = base / (
+                f"postmortem-{sequence:03d}-{_slug(reason)}-p{os.getpid()}"
+            )
+            try:
+                bundle.mkdir()
+                break
+            except FileExistsError:
+                sequence += 1
 
         retained = self.retained()
         slowest = self.slowest_requests()

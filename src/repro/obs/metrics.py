@@ -72,14 +72,6 @@ class Counter:
     def value(self) -> float:
         return self._value
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable sufficient statistics (wire-format ``state`` payload)."""
-        return {"value": self._value}
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another process's snapshot in: totals add."""
-        self._value += float(state["value"])  # type: ignore[arg-type]
-
 
 class Gauge:
     """A value that can move in both directions."""
@@ -103,19 +95,6 @@ class Gauge:
     @property
     def value(self) -> float:
         return self._value
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable state; gauges merge last-writer-wins (see merge_state)."""
-        return {"value": self._value}
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Adopt the snapshot's value.
-
-        Gauges are *levels*, not totals, so summing across processes is
-        meaningless; the collector applies frames in timestamp order and
-        the freshest writer wins.
-        """
-        self._value = float(state["value"])  # type: ignore[arg-type]
 
 
 class Histogram:
@@ -237,66 +216,6 @@ class Histogram:
                 )
             ],
         }
-
-    # ------------------------------------------------------------------
-    # Mergeable snapshots
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable sufficient statistics for fleet aggregation.
-
-        Carries the exact accumulators (bounds, per-bucket counts, count,
-        sum, min, max) plus the stride-decimated quantile sample together
-        with its stride, so a collector can reconcile samples taken at
-        different decimation levels.
-        """
-        empty = self.count == 0
-        return {
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.sum,
-            "min": None if empty else self.min,
-            "max": None if empty else self.max,
-            "sample": list(self._sample),
-            "stride": self._stride,
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another histogram's snapshot into this one.
-
-        Bucket counts, count, sum and min/max merge exactly.  The
-        quantile samples merge by decimating the finer-strided sample to
-        the coarser stride (strides are always powers of two, so the
-        decimation factor is integral), concatenating, then halving until
-        the result fits the sample capacity — the merged sample is drawn
-        from the union stream at a single uniform stride.
-        """
-        bounds = tuple(float(bound) for bound in state["bounds"])  # type: ignore[union-attr]
-        if bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r} bucket bounds differ from the "
-                f"snapshot's; refusing to merge mismatched distributions"
-            )
-        for position, count in enumerate(state["bucket_counts"]):  # type: ignore[union-attr]
-            self.bucket_counts[position] += int(count)
-        self.count += int(state["count"])  # type: ignore[arg-type]
-        self.sum += float(state["sum"])  # type: ignore[arg-type]
-        if state["min"] is not None:
-            self.min = min(self.min, float(state["min"]))  # type: ignore[arg-type]
-        if state["max"] is not None:
-            self.max = max(self.max, float(state["max"]))  # type: ignore[arg-type]
-        other_sample = [float(value) for value in state["sample"]]  # type: ignore[union-attr]
-        other_stride = int(state.get("stride", 1))  # type: ignore[union-attr]
-        stride = max(self._stride, other_stride)
-        mine = self._sample[:: stride // self._stride]
-        theirs = other_sample[:: stride // other_stride]
-        merged = mine + theirs
-        while len(merged) >= self._sample_capacity:
-            merged = merged[::2]
-            stride *= 2
-        self._sample = merged
-        self._stride = stride
-        self._since_kept = 0
 
 
 Instrument = Union[Counter, Gauge, Histogram]
@@ -470,57 +389,6 @@ class MetricsRegistry:
         else:
             with open(destination, "w", encoding="utf-8") as handle:
                 _write(handle)
-
-    # ------------------------------------------------------------------
-    # Mergeable snapshots (fleet aggregation wire format)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> List[Dict[str, object]]:
-        """One mergeable record per instrument: name, kind, help, state."""
-        records: List[Dict[str, object]] = []
-        with self._lock:
-            names = sorted(self._instruments)
-            instruments = [self._instruments[name] for name in names]
-        for name, instrument in zip(names, instruments):
-            if isinstance(instrument, Histogram):
-                kind = "histogram"
-            elif isinstance(instrument, Counter):
-                kind = "counter"
-            else:
-                kind = "gauge"
-            records.append(
-                {
-                    "name": name,
-                    "kind": kind,
-                    "help": instrument.help,
-                    "state": instrument.snapshot_state(),
-                }
-            )
-        return records
-
-    def merge_state(self, record: Dict[str, object]) -> Instrument:
-        """Fold one :meth:`snapshot_state` record into this registry.
-
-        The target instrument is get-or-created under the snapshot's name
-        and kind (histograms adopt the snapshot's bucket bounds), so a
-        fresh registry accumulates the union of every shipped process's
-        instruments.  Kind mismatches raise, same as live registration.
-        """
-        name = str(record["name"])
-        kind = str(record["kind"])
-        help_text = str(record.get("help", "") or "")
-        state = record["state"]
-        if kind == "counter":
-            instrument: Instrument = self.counter(name, help_text)
-        elif kind == "gauge":
-            instrument = self.gauge(name, help_text)
-        elif kind == "histogram":
-            instrument = self.histogram(
-                name, buckets=state["bounds"], help=help_text  # type: ignore[index]
-            )
-        else:
-            raise ValueError(f"unknown instrument kind {kind!r} for {name!r}")
-        instrument.merge_state(state)  # type: ignore[arg-type]
-        return instrument
 
 
 # ----------------------------------------------------------------------

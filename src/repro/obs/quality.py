@@ -160,34 +160,6 @@ class StreamingAUC:
         pair_wins = (pos * (negatives_below + 0.5 * neg)).sum()
         return float(pair_wins / (n_positive * n_negative))
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable per-bin positive/negative counts plus the binning."""
-        state: Dict[str, object] = {
-            "n_bins": self.n_bins,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-        state.update(self._blocks.snapshot_state())
-        return state
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another estimator's bin counts in (binning must match).
-
-        Exact in cumulative mode: per-bin counts are sums, so the merged
-        AUC equals the whole-stream AUC over the union of outcomes.
-        """
-        if (
-            int(state["n_bins"]) != self.n_bins  # type: ignore[arg-type]
-            or float(state["lo"]) != self.lo  # type: ignore[arg-type]
-            or float(state["hi"]) != self.hi  # type: ignore[arg-type]
-        ):
-            raise ValueError(
-                "StreamingAUC binning mismatch: cannot merge "
-                f"({state['n_bins']} bins over [{state['lo']}, {state['hi']}]) "
-                f"into ({self.n_bins} bins over [{self.lo}, {self.hi}])"
-            )
-        self._blocks.merge_state(state)
-
 
 class WindowedECE:
     """Sliding-window expected calibration error.
@@ -244,25 +216,6 @@ class WindowedECE:
             - label_sum[occupied] / count[occupied]
         )
         return float(np.sum(count[occupied] / total * gaps))
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable per-bin (count, label sum, score sum) accumulators."""
-        state: Dict[str, object] = {"n_bins": self.n_bins}
-        state.update(self._blocks.snapshot_state())
-        return state
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another estimator's bin accumulators in (bins must match).
-
-        Exact in cumulative mode: the merged ECE equals the whole-stream
-        ECE over the union of outcomes (same bins, summed accumulators).
-        """
-        if int(state["n_bins"]) != self.n_bins:  # type: ignore[arg-type]
-            raise ValueError(
-                f"WindowedECE bin mismatch: cannot merge {state['n_bins']} "
-                f"bins into {self.n_bins}"
-            )
-        self._blocks.merge_state(state)
 
 
 class CohortCTR:
@@ -354,22 +307,6 @@ class CohortCTR:
             }
             for cohort in sorted(impressions)
         }
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable windowed per-cohort impression/click totals."""
-        impressions, clicks = self._totals()
-        return {"impressions": impressions, "clicks": clicks}
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another process's cohort totals in (sums per cohort)."""
-        impressions: Dict[str, float] = dict(state["impressions"])  # type: ignore[arg-type]
-        clicks: Dict[str, float] = dict(state["clicks"])  # type: ignore[arg-type]
-        for cohort in sorted(set(impressions) | set(clicks)):
-            self.record(
-                str(cohort),
-                float(impressions.get(cohort, 0.0)),
-                float(clicks.get(cohort, 0.0)),
-            )
 
 
 class ColdStartTracker:
@@ -983,37 +920,6 @@ class QualityMonitor:
                 if key != "n":
                     out[f"quality.validation.{path}.{key}"] = value
         return out
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable estimator states for fleet aggregation.
-
-        Ships the AUC/ECE/cohort-CTR sufficient statistics plus the
-        outcome counters.  Per-process state that does not merge
-        meaningfully stays local: drift detectors (their frozen
-        references differ per process) and the cold-start tracker
-        (slot-indexed lifecycle arrays; per-shard catalogues overlap) —
-        both remain visible in each process's own report.
-        """
-        return {
-            "auc": self.auc.snapshot_state(),
-            "ece": self.ece.snapshot_state(),
-            "cohort_ctr": self.cohort_ctr.snapshot_state(),
-            "impressions_seen": self.impressions_seen,
-            "clicks_seen": self.clicks_seen,
-            "outcomes_scored": self.outcomes_scored,
-            "score_emissions": self.score_emissions,
-            "min_outcomes": self.min_outcomes,
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another monitor's shipped state into this one."""
-        self.auc.merge_state(state["auc"])  # type: ignore[arg-type]
-        self.ece.merge_state(state["ece"])  # type: ignore[arg-type]
-        self.cohort_ctr.merge_state(state["cohort_ctr"])  # type: ignore[arg-type]
-        self.impressions_seen += int(state["impressions_seen"])  # type: ignore[arg-type]
-        self.clicks_seen += int(state["clicks_seen"])  # type: ignore[arg-type]
-        self.outcomes_scored += int(state["outcomes_scored"])  # type: ignore[arg-type]
-        self.score_emissions += int(state["score_emissions"])  # type: ignore[arg-type]
 
     def evaluate(self) -> List[Alert]:
         """Run the alert rules against a fresh snapshot.

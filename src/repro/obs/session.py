@@ -29,18 +29,11 @@ import time
 from pathlib import Path
 from typing import Dict, IO, Iterator, List, Optional, Union
 
-from repro.obs.agg import TelemetryShipper
 from repro.obs.autograd import AutogradProfiler
 from repro.obs.callbacks import (
     TelemetryCallback,
     register_global_callback,
     unregister_global_callback,
-)
-from repro.obs.context import (
-    get_shard_label,
-    register_request_observer,
-    set_shard_label,
-    unregister_request_observer,
 )
 from repro.obs.flight import FlightRecorder, use_flight_recorder
 from repro.obs.logging import get_logger, kv
@@ -102,23 +95,6 @@ default_serving_slos`, or pass a configured instance.  While the
     postmortem_dir:
         Where the flight recorder's automatic postmortem bundles land
         (sets the recorder's ``postmortem_dir`` when it has none).
-    shipper:
-        Attach a :class:`~repro.obs.agg.TelemetryShipper` spooling
-        mergeable snapshot frames for a fleet collector: pass a
-        configured instance, or just set ``spool_dir`` to build one
-        with defaults.  The shipper is registered as a request observer
-        while the session is open (time-based flushing rides the
-        serving request stream — no threads) and ships one final frame
-        on :meth:`stop`.
-    spool_dir:
-        Build a default shipper spooling to this directory (ignored
-        when ``shipper`` is passed; the instance already has one).
-    shard_label:
-        Process-wide shard label set for the duration of the session
-        (see :func:`~repro.obs.context.set_shard_label`): stamped on
-        every completed request record, postmortem bundle name and
-        shipped snapshot frame, so fleet-merged views can attribute
-        state to this process.
     """
 
     def __init__(
@@ -131,9 +107,6 @@ default_serving_slos`, or pass a configured instance.  While the
         slo: Union[bool, SLOTracker, None] = None,
         flight: Union[bool, FlightRecorder, None] = None,
         postmortem_dir: Optional[Union[str, Path]] = None,
-        shipper: Optional[TelemetryShipper] = None,
-        spool_dir: Optional[Union[str, Path]] = None,
-        shard_label: Optional[str] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = Tracer(record_events=trace_events)
@@ -167,24 +140,6 @@ default_serving_slos`, or pass a configured instance.  While the
             and self.flight.postmortem_dir is None
         ):
             self.flight.postmortem_dir = Path(postmortem_dir)
-        if shipper is not None:
-            self.shipper: Optional[TelemetryShipper] = shipper
-        elif spool_dir is not None:
-            # Bind the session's own surfaces (not the ambient lookups)
-            # so the shutdown flush still sees them after the scopes in
-            # stop() have been torn down.
-            self.shipper = TelemetryShipper(
-                spool_dir,
-                process_label=shard_label,
-                registry=self.registry,
-                monitor=self.monitor,
-                slo=self.slo,
-                tracer=self.tracer,
-            )
-        else:
-            self.shipper = None
-        self.shard_label = shard_label
-        self._previous_shard_label: Optional[str] = None
         self.label = label
         self._started_unix: Optional[float] = None
         self._stopped_unix: Optional[float] = None
@@ -200,9 +155,6 @@ default_serving_slos`, or pass a configured instance.  While the
     def start(self) -> "TelemetrySession":
         if self._registry_scope is not None:
             raise RuntimeError("telemetry session is already started")
-        if self.shard_label is not None:
-            self._previous_shard_label = get_shard_label()
-            set_shard_label(self.shard_label)
         for name in _STANDARD_COUNTERS:
             self.registry.counter(name)
         self._registry_scope = use_registry(self.registry)
@@ -219,8 +171,6 @@ default_serving_slos`, or pass a configured instance.  While the
             self._flight_scope = use_flight_recorder(self.flight)
             self._flight_scope.__enter__()
         register_global_callback(self.callback)
-        if self.shipper is not None:
-            register_request_observer(self.shipper)
         if self.profiler is not None:
             self.profiler.enable()
         self._started_unix = time.time()
@@ -234,11 +184,6 @@ default_serving_slos`, or pass a configured instance.  While the
         self._stopped_unix = time.time()
         if self.profiler is not None:
             self.profiler.disable()
-        if self.shipper is not None:
-            unregister_request_observer(self.shipper)
-            # Ship the final state before tearing the scopes down, so
-            # an ambient-sourced shipper still resolves them.
-            self.shipper.flush()
         unregister_global_callback(self.callback)
         if self._flight_scope is not None:
             self._flight_scope.__exit__(None, None, None)
@@ -254,9 +199,6 @@ default_serving_slos`, or pass a configured instance.  While the
             self._tracer_scope = None
         self._registry_scope.__exit__(None, None, None)
         self._registry_scope = None
-        if self.shard_label is not None:
-            set_shard_label(self._previous_shard_label)
-            self._previous_shard_label = None
         _LOGGER.debug(kv("telemetry session stopped", label=self.label))
 
     def __enter__(self) -> "TelemetrySession":

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -312,67 +312,6 @@ class SLOWindow:
             out[f"slo.{name}.p99_seconds"] = self._pct_cache[1]
         return out
 
-    # ------------------------------------------------------------------
-    # Mergeable snapshots
-    # ------------------------------------------------------------------
-    def _chronological_durations(self) -> List[float]:
-        if self._duration_count < self._DURATION_CAPACITY:
-            return self._durations[: self._duration_count].tolist()
-        return (
-            self._durations[self._duration_next :].tolist()
-            + self._durations[: self._duration_next].tolist()
-        )
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable state: SLO config, windowed events, duration sample.
-
-        The slow window ships as a ``"0"``/``"1"`` string (oldest event
-        first) so the receiver can *replay* it; everything older than the
-        window is summarised by the cumulative totals.
-        """
-        events = "".join("1" if good else "0" for good in self._slow)
-        return {
-            "slo": asdict(self.slo),
-            "events": events,
-            "durations": self._chronological_durations(),
-            "total_events": self.total_events,
-            "total_bad": self.total_bad,
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Replay another window's snapshot onto this one.
-
-        Events that had already fallen off the sender's window fold into
-        the cumulative totals only; the windowed events replay through
-        :meth:`add` (latency durations re-paired with their events), so
-        merging chunked snapshots in stream order reproduces the
-        whole-stream window exactly while everything fits, and keeps the
-        most recent ``window`` events of the concatenation beyond that.
-        """
-        config = dict(state["slo"])  # type: ignore[arg-type]
-        config["request_kind"] = config.get("request_kind") or None
-        config["metric"] = config.get("metric") or None
-        if config != asdict(self.slo):
-            raise ValueError(
-                f"SLO config mismatch for {self.slo.name!r}: refusing to "
-                "merge windows tracking different objectives"
-            )
-        events = str(state["events"])
-        durations = [float(value) for value in state["durations"]]  # type: ignore[union-attr]
-        # Totals for events older than the shipped window.
-        windowed_bad = events.count("0")
-        self.total_events += int(state["total_events"]) - len(events)  # type: ignore[arg-type]
-        self.total_bad += int(state["total_bad"]) - windowed_bad  # type: ignore[arg-type]
-        # Durations older than the shipped events only feed the ring.
-        paired = min(len(durations), len(events))
-        for value in durations[: len(durations) - paired]:
-            self._push_duration(value)
-        tail = durations[len(durations) - paired :]
-        offset = len(events) - paired
-        for position, flag in enumerate(events):
-            duration = tail[position - offset] if position >= offset else None
-            self.add(flag == "1", duration=duration)
-
 
 def default_serving_slos(
     latency_p99_seconds: float = 0.25,
@@ -559,40 +498,6 @@ class SLOTracker:
         snapshot = self.snapshot()
         self._gauges.mirror(snapshot)
         return self.alerts.evaluate(snapshot)
-
-    # ------------------------------------------------------------------
-    # Mergeable snapshots
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable per-SLO window states plus the request counter."""
-        return {
-            "windows": {
-                name: self.windows[name].snapshot_state()
-                for name in sorted(self.windows)
-            },
-            "requests_seen": self.requests_seen,
-        }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold another tracker's shipped state into this one.
-
-        Windows for SLOs this tracker has not declared are adopted from
-        the snapshot's embedded config, so a collector built with an
-        empty tracker accumulates the union of the fleet's objectives.
-        """
-        for name, window_state in sorted(state["windows"].items()):  # type: ignore[union-attr]
-            if name not in self.windows:
-                slo = SLO(**dict(window_state["slo"]))
-                window = SLOWindow(slo)
-                self.windows[name] = window
-                self.slos = self.slos + (slo,)
-                if slo.kind == "quality":
-                    self._quality_windows.append((window, slo))
-                else:
-                    self._request_windows.append((window, slo))
-                self.alerts.add_rules(self._rules_for(slo))
-            self.windows[name].merge_state(window_state)
-        self.requests_seen += int(state["requests_seen"])  # type: ignore[arg-type]
 
     def exhausted(self) -> List[str]:
         """Names of SLOs whose error budget is currently spent."""

@@ -243,19 +243,6 @@ class Tracer:
             )
         return events
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """Mergeable event-recording accounting for fleet snapshots.
-
-        Per-event payloads stay local (bundles carry them); what ships
-        is the loss accounting, so a collector can surface per-shard and
-        fleet-wide sampling loss (``tracer.dropped``).
-        """
-        return {
-            "events_recorded": len(self._events),
-            "events_dropped": self.dropped_events,
-            "max_events": self.max_events,
-        }
-
     def earliest_event_start(self) -> Optional[float]:
         """Earliest recorded perf_counter start (None without events)."""
         if not self._events:

@@ -116,24 +116,3 @@ class SlidingBlocks:
         self._sealed.clear()
         self._sealed_count = 0
         self.total_seen = 0
-
-    # ------------------------------------------------------------------
-    # Mergeable snapshots
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Windowed totals plus the observation count, JSON-friendly."""
-        return {
-            "count": self.count,
-            "totals": [total.tolist() for total in self.totals()],
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold a snapshot's windowed totals in as one batched addition.
-
-        Exact in cumulative mode (``window=None``): sums of sums.  In
-        windowed mode the snapshot lands as a single batch, so it rotates
-        through the block ring like any other bulk update — the usual
-        block-granularity approximation, nothing worse.
-        """
-        arrays = [np.asarray(values, dtype=float) for values in state["totals"]]
-        self.add(int(state["count"]), *arrays)

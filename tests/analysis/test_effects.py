@@ -483,3 +483,31 @@ def test_repo_baseline_entries_all_carry_reasons():
     assert baseline.entries, "baseline unexpectedly empty"
     for entry in baseline.entries.values():
         assert entry.reason.strip(), f"reason-less baseline entry {entry.key}"
+
+
+# ----------------------------------------------------------------------
+# Generated reports are keyed by symbol, not line
+# ----------------------------------------------------------------------
+def _rendered_reports(src_root):
+    analysis = analyze(src_root, "repro")
+    manifest = build_manifest([src_root / "repro"], src_root.parent)
+    return render_thread_hostility(analysis), render_manifest(manifest)
+
+
+def test_reports_survive_lines_moving(tmp_path):
+    import shutil
+
+    src_root = tmp_path / "src"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro",
+        src_root / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    before = _rendered_reports(src_root)
+    for relpath in ("serving/engine.py", "obs/tracing.py"):
+        module = src_root / "repro" / relpath
+        module.write_text("\n" * 7 + module.read_text(encoding="utf-8"),
+                          encoding="utf-8")
+    after = _rendered_reports(src_root)
+    assert "RealTimeEngine" in before[0] and "engine.refreshes" in before[1]
+    assert after == before

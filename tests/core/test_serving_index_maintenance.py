@@ -69,7 +69,9 @@ def _personal_scores(engine, user_row):
     )
 
 
-def test_ivf_engine_tracks_bruteforce_engine(tiny_tmall_world, serving_model):
+def test_ivf_engine_tracks_bruteforce_engine(
+    tiny_tmall_world, serving_model, example_scale
+):
     """Stateful: full-probe IVF and brute force serve the same rankings."""
     world = tiny_tmall_world
     splits = []
@@ -163,7 +165,7 @@ def test_ivf_engine_tracks_bruteforce_engine(tiny_tmall_world, serving_model):
     run_state_machine_as_test(
         EngineMachine,
         settings=settings(
-            max_examples=12, stateful_step_count=20, deadline=None
+            max_examples=12 * example_scale, stateful_step_count=20, deadline=None
         ),
     )
     assert max(splits) > 0, "no arrival flood ever split a partition"

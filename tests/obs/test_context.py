@@ -6,13 +6,11 @@ from repro.obs import Tracer, use_tracer
 from repro.obs.context import (
     MAX_SPANS_PER_REQUEST,
     RequestRecord,
-    TraceContext,
     current_trace_context,
     new_trace_id,
     register_request_observer,
     request_scope,
     unregister_request_observer,
-    use_trace_context,
 )
 
 
@@ -156,10 +154,3 @@ class TestRequestRecord:
     def test_hottest_span_none_without_spans(self):
         assert self._record([]).hottest_span() is None
 
-
-class TestUseTraceContext:
-    def test_activates_externally_built_context(self):
-        context = TraceContext(kind="replay")
-        with use_trace_context(context):
-            assert current_trace_context() is context
-        assert current_trace_context() is None

@@ -165,6 +165,19 @@ class TestPostmortemBundles:
             recorder.on_request(_record(f"bad-{index}", status="error"))
         assert len(recorder.dumps) == 2
 
+    def test_recorders_sharing_a_directory_never_overwrite(self, tmp_path):
+        first = FlightRecorder(capacity=4, postmortem_dir=tmp_path)
+        second = FlightRecorder(capacity=4, postmortem_dir=tmp_path)
+        first.on_request(_record("t-first"))
+        second.on_request(_record("t-second"))
+        first_bundle = first.dump_postmortem("manual")
+        second_bundle = second.dump_postmortem("manual")
+        assert first_bundle != second_bundle
+        assert first_bundle.name.startswith("postmortem-001-manual-p")
+        assert second_bundle.name.startswith("postmortem-002-manual-p")
+        assert load_bundle(first_bundle)["meta"]["slowest_trace_id"] == "t-first"
+        assert load_bundle(second_bundle)["meta"]["slowest_trace_id"] == "t-second"
+
     def test_no_auto_dump_without_directory(self):
         recorder = FlightRecorder(capacity=4)
         recorder.on_request(_record("bad", status="error"))
