@@ -176,7 +176,7 @@ class _BaseTrainer:
         on_epoch_end: Optional[Callable[[int, Dict[str, float]], None]] = None,
         early_stopping: Optional[EarlyStopping] = None,
         callbacks: Optional[Sequence[TrainerCallback]] = None,
-        dtype=None,
+        dtype=np.float32,
     ) -> None:
         if epochs <= 0:
             raise ValueError(f"epochs must be positive, got {epochs}")
@@ -191,11 +191,12 @@ class _BaseTrainer:
         self.on_epoch_end = on_epoch_end
         self.early_stopping = early_stopping
         self.callbacks: List[TrainerCallback] = list(callbacks or [])
-        # Compute dtype for the whole fit: np.float32 roughly halves the
-        # memory traffic of the numpy kernels.  None keeps the engine-wide
-        # default (float64).
-        self.dtype = np.dtype(dtype) if dtype is not None else None
+        # Compute dtype for the whole fit.  float32 halves the memory
+        # traffic of the numpy kernels; fit hands the parameters back in
+        # the dtype they came in, so serving still sees float64.
+        self.dtype = np.dtype(dtype)
         self._previous_dtype = None
+        self._entry_dtypes: List[Tuple] = []
         self._best_value: Optional[float] = None
         self._best_state: Optional[Dict[str, np.ndarray]] = None
         self._epochs_without_improvement = 0
@@ -245,8 +246,8 @@ class _BaseTrainer:
         """
         rng = np.random.default_rng(self.seed)
         history = TrainingHistory()
-        self._begin_fit(model)
         try:
+            self._begin_fit(model)
             optimizer = Adam(model.parameters(), lr=self.lr)
             model.train()
             for epoch in range(self.epochs):
@@ -281,13 +282,13 @@ class _BaseTrainer:
     # Telemetry plumbing
     # ------------------------------------------------------------------
     def _begin_fit(self, model) -> None:
-        """Reset early stopping, resolve callbacks, enter the compute dtype."""
+        """Enter the compute dtype, reset early stopping, resolve callbacks."""
+        self._entry_dtypes = [(param, param.data.dtype) for param in model.parameters()]
+        self._previous_dtype = set_default_dtype(self.dtype)
+        model.to_dtype(self.dtype)
         self._best_value = None
         self._best_state = None
         self._epochs_without_improvement = 0
-        if self.dtype is not None:
-            self._previous_dtype = set_default_dtype(self.dtype)
-            model.to_dtype(self.dtype)
         self._active_callbacks = tuple(self.callbacks) + global_callbacks()
         self._parameter_groups = []
         if self._active_callbacks:
@@ -307,13 +308,17 @@ class _BaseTrainer:
             callback.on_train_begin(self, model)
 
     def _end_fit(self, history: "TrainingHistory") -> None:
+        """Run on every exit path: hand back the entry dtypes, then end callbacks."""
+        for param, dtype in self._entry_dtypes:
+            param.to_dtype(dtype)
+        self._entry_dtypes = []
+        if self._previous_dtype is not None:
+            set_default_dtype(self._previous_dtype)
+            self._previous_dtype = None
         for callback in self._active_callbacks:
             callback.on_train_end(history)
         self._active_callbacks = ()
         self._parameter_groups = []
-        if self._previous_dtype is not None:
-            set_default_dtype(self._previous_dtype)
-            self._previous_dtype = None
 
     @staticmethod
     def _grad_norm(parameters) -> float:

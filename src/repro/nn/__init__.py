@@ -7,7 +7,7 @@ ATNN paper without an external deep-learning framework.
 from repro.nn import init, layers, losses, optim
 from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.sparse import SparseGrad, sparse_grads_enabled, use_sparse_grads
+from repro.nn.sparse import SparseGrad
 from repro.nn.tensor import (
     Tensor,
     concat,
@@ -39,8 +39,6 @@ __all__ = [
     "ModuleList",
     "Parameter",
     "SparseGrad",
-    "sparse_grads_enabled",
-    "use_sparse_grads",
     "Tensor",
     "concat",
     "default_dtype",

@@ -23,6 +23,13 @@ class Parameter(Tensor):
     def __init__(self, data, name: Optional[str] = None) -> None:
         super().__init__(data, requires_grad=True, name=name)
 
+    def to_dtype(self, dtype) -> None:
+        """Cast the data to ``dtype`` in place and clear the (stale) gradient."""
+        if self.data.dtype != dtype:
+            self.data = self.data.astype(dtype)
+            self.bump_version()
+        self.grad = None
+
 
 class Module:
     """Base class for neural network components.
@@ -100,15 +107,12 @@ class Module:
         """Cast every parameter to ``dtype`` in place.
 
         Gradients are cleared (they would otherwise be stale in the old
-        dtype).  Used by the trainers' float32 mode; returns ``self`` for
-        chaining.
+        dtype).  Used by the trainers to enter their compute dtype;
+        returns ``self`` for chaining.
         """
         dtype = np.dtype(dtype)
         for param in self.parameters():
-            if param.data.dtype != dtype:
-                param.data = param.data.astype(dtype)
-                param.bump_version()
-            param.grad = None
+            param.to_dtype(dtype)
         return self
 
     # ------------------------------------------------------------------

@@ -28,42 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "SparseGrad",
-    "sparse_grads_enabled",
-    "use_sparse_grads",
-]
-
-# Global switch consulted by ``embedding_lookup``'s backward.  Kept here so
-# benchmarks and tests can measure the dense legacy path against the sparse
-# fast path inside one process.
-_SPARSE_GRADS_ENABLED = True
-
-
-def sparse_grads_enabled() -> bool:
-    """Whether embedding backwards emit :class:`SparseGrad` (the default)."""
-    return _SPARSE_GRADS_ENABLED
-
-
-class use_sparse_grads:
-    """Context manager toggling the sparse embedding-gradient fast path.
-
-    >>> with use_sparse_grads(False):
-    ...     ...  # embedding backwards materialise dense tables (legacy)
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "use_sparse_grads":
-        global _SPARSE_GRADS_ENABLED
-        self._previous = _SPARSE_GRADS_ENABLED
-        _SPARSE_GRADS_ENABLED = self._enabled
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        global _SPARSE_GRADS_ENABLED
-        _SPARSE_GRADS_ENABLED = self._previous
+__all__ = ["SparseGrad"]
 
 
 class SparseGrad:

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.sparse import SparseGrad, sparse_grads_enabled
+from repro.nn.sparse import SparseGrad
 
 __all__ = [
     "Tensor",
@@ -799,12 +799,6 @@ class Tensor:
         value = weight.data[indices]
 
         def backward(grad: np.ndarray):
-            if not sparse_grads_enabled():
-                # Legacy dense path, kept for benchmarking and as a
-                # fallback: materialises the full table every step.
-                full = np.zeros_like(weight.data)
-                np.add.at(full, indices, grad)
-                return (full,)
             dim = weight.data.shape[1]
             rows = grad.reshape(-1, dim)
             return (SparseGrad.from_rows(indices, rows, weight.data.shape),)
@@ -1007,13 +1001,6 @@ class Tensor:
             np.take(weight.data, indices, axis=0, out=value[:, lo:hi], mode="clip")
 
         def backward(grad: np.ndarray):
-            if not sparse_grads_enabled():
-                outs = []
-                for weight, indices, (lo, hi) in zip(weights, indices_list, splits):
-                    full = np.zeros_like(weight.data)
-                    np.add.at(full, indices, grad[:, lo:hi])
-                    outs.append(full)
-                return tuple(outs)
             return tuple(
                 SparseGrad.from_rows(indices, grad[:, lo:hi], weight.data.shape)
                 for weight, indices, (lo, hi) in zip(weights, indices_list, splits)
@@ -1061,8 +1048,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     The backward pass emits a row-sparse :class:`~repro.nn.sparse.SparseGrad`
     carrying only the touched rows (repeated indices are segment-summed), so
     neither the gradient nor the optimizer update ever materialises the full
-    ``num_embeddings x dim`` table.  Wrap training in
-    ``use_sparse_grads(False)`` to fall back to the legacy dense scatter.
+    ``num_embeddings x dim`` table.
     """
     return Tensor._embedding_lookup(weight, indices)
 

@@ -247,13 +247,14 @@ class AlertEngine:
     def __init__(
         self,
         rules: Sequence[AlertRule],
-        sinks: Sequence[AlertSink] = (),
+        sinks: Optional[Sequence[AlertSink]] = None,
     ) -> None:
         names = [rule.name for rule in rules]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate rule names in {names}")
         self.rules = tuple(rules)
-        self.sinks: List[AlertSink] = list(sinks) or [LogSink()]
+        # None means the log sink; an explicit empty sequence means none.
+        self.sinks: List[AlertSink] = [LogSink()] if sinks is None else list(sinks)
         self.history: List[Alert] = []
         self._states: Dict[str, _RuleState] = {
             rule.name: _RuleState() for rule in self.rules

@@ -655,7 +655,7 @@ class QualityMonitor:
         :class:`~repro.obs.drift.DriftDetector`).
     rules, sinks:
         Alerting configuration; defaults to :func:`default_quality_rules`
-        with a log sink.
+        with a log sink (``sinks=()`` fires into no sink).
     min_outcomes:
         Outcomes required before AUC/ECE appear in snapshots (and can
         therefore trip alert rules) — warm-up handling.
@@ -673,7 +673,7 @@ class QualityMonitor:
         drift_window: int = 2000,
         drift_bins: int = 32,
         rules: Optional[Sequence[AlertRule]] = None,
-        sinks: Sequence[AlertSink] = (),
+        sinks: Optional[Sequence[AlertSink]] = None,
         min_outcomes: int = 200,
     ) -> None:
         self.warm_view_threshold = warm_view_threshold

@@ -371,7 +371,8 @@ class SLOTracker:
     slos:
         The declared objectives (defaults to :func:`default_serving_slos`).
     sinks:
-        Alert sinks shared by every generated rule.
+        Alert sinks shared by every generated rule (default: a log
+        sink; ``()`` for none).
     evaluate_every:
         Auto-evaluation cadence in completed requests (0 disables —
         only explicit :meth:`evaluate` calls run the rules).
@@ -380,7 +381,7 @@ class SLOTracker:
     def __init__(
         self,
         slos: Optional[Sequence[SLO]] = None,
-        sinks: Sequence[AlertSink] = (),
+        sinks: Optional[Sequence[AlertSink]] = None,
         evaluate_every: int = 64,
     ) -> None:
         slos = tuple(slos) if slos is not None else default_serving_slos()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import GradSanitizer, SanitizerError, sanitizer_active
-from repro.nn import Tensor, use_sparse_grads
+from repro.nn import Tensor
 from repro.nn.layers.embedding import FeatureEmbeddings
 from repro.nn.layers.linear import Linear
 from repro.nn.optim import Adam
@@ -44,13 +44,12 @@ def test_lazy_sparse_optimizer_row_update_before_backward_fires():
     model = FeatureEmbeddings({"item_id": 20}, {"item_id": 4}, rng=rng)
     optimizer = Adam(model.parameters(), lr=0.1)
     batch = {"item_id": np.array([1, 3, 3, 7])}
-    with use_sparse_grads(True):
-        model(batch).sum().backward()  # prime sparse .grad
-        with GradSanitizer():
-            pending = model(batch).sum()
-            optimizer.step()
-            with pytest.raises(SanitizerError) as excinfo:
-                pending.backward()
+    model(batch).sum().backward()  # prime sparse .grad
+    with GradSanitizer():
+        pending = model(batch).sum()
+        optimizer.step()
+        with pytest.raises(SanitizerError) as excinfo:
+            pending.backward()
     assert excinfo.value.diagnostic.code == "stale-saved-buffer"
 
 

@@ -59,17 +59,20 @@ class _Run:
         self.best_value: Optional[float] = None
         self.best_state = None
         self.stale = 0
+        self.entry_dtypes = []
         self.previous_dtype = None
 
     def __enter__(self) -> "_Run":
-        if self.trainer.dtype is not None:
-            self.previous_dtype = set_default_dtype(self.trainer.dtype)
-            self.model.to_dtype(self.trainer.dtype)
+        self.entry_dtypes = [(p, p.data.dtype) for p in self.model.parameters()]
+        self.previous_dtype = set_default_dtype(self.trainer.dtype)
+        self.model.to_dtype(self.trainer.dtype)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.previous_dtype is not None:
-            set_default_dtype(self.previous_dtype)
+        # Hand every parameter back in the dtype it came in.
+        for param, dtype in self.entry_dtypes:
+            param.to_dtype(dtype)
+        set_default_dtype(self.previous_dtype)
 
     def end_epoch(self, record: Dict[str, float]) -> bool:
         """Append ``record``; True when early stopping's patience is spent."""

@@ -124,11 +124,19 @@ class TestRetrievalTrainer:
             tiny_tmall_world.schema, tiny_tower_config,
             rng=np.random.default_rng(1),
         )
-        RetrievalTrainer(epochs=1, batch_size=256, dtype=np.float32).fit(
-            model, tiny_tmall_world.interactions
-        )
+        seen = set()
+
+        class _Dtypes(TrainerCallback):
+            def on_batch_end(self, stats):
+                seen.update(p.data.dtype for p in model.parameters())
+
+        RetrievalTrainer(
+            epochs=1, batch_size=256, dtype=np.float32, callbacks=[_Dtypes()]
+        ).fit(model, tiny_tmall_world.interactions)
+        assert seen == {np.dtype(np.float32)}
+        # fit hands the parameters back in their entry dtype.
         assert {p.data.dtype for p in model.parameters()} == {
-            np.dtype(np.float32)
+            np.dtype(np.float64)
         }
 
     def test_callbacks_see_every_batch(self, tiny_tmall_world, tiny_tower_config):

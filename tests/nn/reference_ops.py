@@ -1,14 +1,19 @@
-"""Op-chain references for the fused layers.
+"""Op-chain references for the fused layers, and the dense embedding backward.
 
 ``MLP``, ``CrossLayer`` and ``FeatureEmbeddings`` each run as one fused
 tape node.  These helpers rebuild the same computations from elementary
 autograd ops over the *same* parameters, so tests can check the fused
 kernels value for value and gradient for gradient.
+
+Embedding backwards emit row-sparse :class:`~repro.nn.sparse.SparseGrad`
+gradients.  :func:`dense_embedding_lookup` is the same gather with the
+plain dense scatter as its backward (a full ``num_embeddings x dim``
+table, ``np.add.at``), the oracle the sparse path is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -35,12 +40,26 @@ def cross_network_chain(network: CrossNetwork, x: Tensor) -> Tensor:
     return out
 
 
+def dense_embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
+    """``weight[indices]`` whose backward scatters into a dense table."""
+    indices = np.asarray(indices)
+
+    def backward(grad: np.ndarray):
+        full = np.zeros_like(weight.data)
+        np.add.at(full, indices, grad)  # repro-lint: disable=ATN003 -- the dense scatter is the oracle the segment-sum kernel is checked against
+        return (full,)
+
+    return Tensor._make(weight.data[indices], (weight,), backward)
+
+
 def embedding_bank_chain(
-    bank: FeatureEmbeddings, features: Mapping[str, np.ndarray]
+    bank: FeatureEmbeddings,
+    features: Mapping[str, np.ndarray],
+    lookup: Callable[[Tensor, np.ndarray], Tensor] = embedding_lookup,
 ) -> Tensor:
-    """One lookup node per table, then a concat node."""
+    """One ``lookup`` node per table, then a concat node."""
     parts = [
-        embedding_lookup(bank.table(name).weight, np.asarray(features[name]))
+        lookup(bank.table(name).weight, np.asarray(features[name]))
         for name in bank.feature_names
     ]
     return parts[0] if len(parts) == 1 else concat(parts, axis=-1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import TwoTowerModel, TwoTowerTrainer
+from repro.core import ATNN, ATNNTrainer, TwoTowerModel, TwoTowerTrainer
 from repro.data import train_test_split
 from repro.nn import (
     Tensor,
@@ -16,6 +16,7 @@ from repro.nn.layers.embedding import EmbeddingBag
 from repro.nn.layers.linear import Linear
 from repro.nn.losses import binary_cross_entropy, mean_squared_error
 from repro.nn.module import Module, Parameter
+from repro.obs.callbacks import TrainerCallback
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +135,62 @@ class TestFloat32Trainer:
         )
         history = trainer.fit(model, train)
         assert history.series("loss")[-1] < history.series("loss")[0]
-        assert all(p.data.dtype == np.float32 for p in model.parameters())
-        # The global default is restored once fit returns.
+        # Parameters come back in their entry dtype, and the global
+        # default is restored once fit returns.
+        assert all(p.data.dtype == np.float64 for p in model.parameters())
         assert get_default_dtype() == np.float64
+
+
+class _SeesDtypes(TrainerCallback):
+    """Records the parameter and default dtypes at every batch."""
+
+    def __init__(self, fail_at_batch=None):
+        self.fail_at_batch = fail_at_batch
+        self.model = None
+        self.seen = set()
+
+    def on_train_begin(self, trainer, model):
+        self.model = model
+
+    def on_batch_end(self, stats):
+        self.seen |= {p.data.dtype for p in self.model.parameters()}
+        self.seen.add(get_default_dtype())
+        if stats.step == self.fail_at_batch:
+            raise RuntimeError("callback failed mid-fit")
+
+
+class TestFloat32ByDefault:
+    @pytest.fixture
+    def atnn_fit(self, tiny_tmall_world, tiny_tower_config):
+        train = tiny_tmall_world.interactions.subset(np.arange(1024))
+
+        def fit(callback):
+            model = ATNN(
+                tiny_tmall_world.schema, tiny_tower_config,
+                rng=np.random.default_rng(1),
+            )
+            trainer = ATNNTrainer(epochs=1, batch_size=256, callbacks=[callback])
+            return model, lambda: trainer.fit(model, train)
+
+        return fit
+
+    def test_default_atnn_fit_computes_in_float32(self, atnn_fit):
+        callback = _SeesDtypes()
+        _, fit = atnn_fit(callback)
+        fit()
+        assert callback.seen == {np.dtype(np.float32)}
+
+    def test_fit_hands_back_float64_parameters(self, atnn_fit):
+        model, fit = atnn_fit(_SeesDtypes())
+        fit()
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float64)}
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_fit_that_raises_restores_dtypes(self, atnn_fit):
+        callback = _SeesDtypes(fail_at_batch=3)
+        model, fit = atnn_fit(callback)
+        with pytest.raises(RuntimeError, match="callback failed mid-fit"):
+            fit()
+        assert callback.seen == {np.dtype(np.float32)}
+        assert get_default_dtype() == np.float64
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float64)}

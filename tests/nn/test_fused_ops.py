@@ -22,10 +22,11 @@ from repro.core.trainer import ATNNTrainer
 from repro.nn import (
     Tensor,
     check_gradients,
+    concat,
     default_dtype,
+    embedding_lookup,
     fused_cross,
     fused_embedding_bag,
-    use_sparse_grads,
 )
 from repro.nn.layers import (
     MLP,
@@ -43,6 +44,7 @@ from tests.nn.reference_ops import (
     bce_logits_chain,
     cross_chain,
     cross_network_chain,
+    dense_embedding_lookup,
     embedding_bank_chain,
     mlp_chain,
 )
@@ -277,8 +279,10 @@ class TestFusedEmbeddingBag:
         }
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_matches_unfused_bank(self, rng, dtype, sparse):
+    @pytest.mark.parametrize("sparse_chain", [True, False])
+    def test_matches_unfused_bank(self, rng, dtype, sparse_chain):
+        """Against lookup chains with the sparse backward, and with the
+        dense scatter oracle."""
         features = self._features(rng)
         upstream = rng.standard_normal((16, sum(self.DIMS.values()))).astype(dtype)
 
@@ -288,17 +292,19 @@ class TestFusedEmbeddingBag:
             )
             bank.to_dtype(dtype)
 
-        def run(forward):
+        def run(forward, sparse):
             bank.zero_grad()
-            with use_sparse_grads(sparse):
-                out = forward(features)
-                (out * Tensor(upstream)).sum().backward()
+            out = forward(features)
+            (out * Tensor(upstream)).sum().backward()
             grads = [p.grad for p in bank.parameters()]
             assert all(isinstance(g, SparseGrad) == sparse for g in grads)
             return out.data, [np.asarray(g) for g in grads]
 
+        lookup = embedding_lookup if sparse_chain else dense_embedding_lookup
         _assert_parity(
-            run(bank), run(lambda f: embedding_bank_chain(bank, f)), dtype
+            run(bank, True),
+            run(lambda f: embedding_bank_chain(bank, f, lookup), sparse_chain),
+            dtype,
         )
 
     def test_records_one_fused_node(self, rng):
@@ -321,16 +327,14 @@ class TestFusedEmbeddingBag:
         bank = FeatureEmbeddings(self.VOCABS, self.DIMS, rng=rng)
         features = self._features(rng, batch=5)
         upstream = rng.standard_normal((5, sum(self.DIMS.values())))
-        with use_sparse_grads(False):
-            check_gradients(
-                lambda: (bank(features) * Tensor(upstream)).sum(),
-                bank.parameters(),
-            )
+        check_gradients(
+            lambda: (bank(features) * Tensor(upstream)).sum(),
+            bank.parameters(),
+        )
 
     def test_sparse_backward_emits_sparse_grads(self, rng):
         bank = FeatureEmbeddings(self.VOCABS, self.DIMS, rng=rng)
-        with use_sparse_grads(True):
-            bank(self._features(rng)).sum().backward()
+        bank(self._features(rng)).sum().backward()
         for param in bank.parameters():
             assert isinstance(param.grad, SparseGrad)
 
@@ -338,23 +342,20 @@ class TestFusedEmbeddingBag:
         weight = Parameter(rng.standard_normal((20, 3)))
         first = rng.integers(0, 20, size=8)
         second = rng.integers(0, 20, size=8)
-        with use_sparse_grads(False):
-            out = fused_embedding_bag([weight, weight], [first, second])
-            out.sum().backward()
-        expected = np.zeros_like(weight.data)
-        np.add.at(expected, first, 1.0)  # repro-lint: disable=ATN003 -- reference dense scatter
-        np.add.at(expected, second, 1.0)  # repro-lint: disable=ATN003 -- reference dense scatter
-        np.testing.assert_allclose(
-            np.asarray(weight.grad), expected, rtol=1e-12, atol=1e-12
-        )
+        fused_embedding_bag([weight, weight], [first, second]).sum().backward()
+        got = np.asarray(weight.grad)
+        weight.zero_grad()
+        concat(
+            [dense_embedding_lookup(weight, first), dense_embedding_lookup(weight, second)]
+        ).sum().backward()
+        np.testing.assert_allclose(got, weight.grad, rtol=1e-12, atol=1e-12)
 
     def test_duplicate_indices_segment_sum(self, rng):
         weight = Parameter(rng.standard_normal((10, 2)))
         indices = np.array([3, 3, 3, 7, 0, 7])
         upstream = rng.standard_normal((6, 2))
-        with use_sparse_grads(True):
-            out = fused_embedding_bag([weight], [indices])
-            (out * Tensor(upstream)).sum().backward()
+        out = fused_embedding_bag([weight], [indices])
+        (out * Tensor(upstream)).sum().backward()
         expected = np.zeros_like(weight.data)
         np.add.at(expected, indices, upstream)  # repro-lint: disable=ATN003 -- reference dense scatter
         np.testing.assert_allclose(
@@ -424,7 +425,7 @@ class TestFusedUnderSanitizer:
             optimizer = Adam(model.parameters(), lr=1e-3)
             labels = (rng.random(32) < 0.4).astype(dtype)
             sanitizer = GradSanitizer(track_nonfinite=True)
-            with use_sparse_grads(True), sanitizer:
+            with sanitizer:
                 for _ in range(4):
                     optimizer.zero_grad()
                     features = {
@@ -452,14 +453,13 @@ class TestFusedUnderSanitizer:
             model = _BankAndHead(vocabs, dims, np.random.default_rng(21))
             forward = model.forward_chain if chain else model
             optimizer = Adam(model.parameters(), lr=1e-2)
-            with use_sparse_grads(True):
-                for features in batches:
-                    optimizer.zero_grad()
-                    loss = binary_cross_entropy_with_logits(
-                        forward(features), labels
-                    )
-                    loss.backward()
-                    optimizer.step()
+            for features in batches:
+                optimizer.zero_grad()
+                loss = binary_cross_entropy_with_logits(
+                    forward(features), labels
+                )
+                loss.backward()
+                optimizer.step()
             return model.state_dict()
 
         fused_state = train(chain=False)

@@ -7,8 +7,9 @@ from repro.nn import check_gradients, embedding_lookup
 from repro.nn.layers.embedding import Embedding, EmbeddingBag
 from repro.nn.module import Parameter
 from repro.nn.optim import Optimizer
-from repro.nn.sparse import SparseGrad, sparse_grads_enabled, use_sparse_grads
+from repro.nn.sparse import SparseGrad
 from repro.nn.tensor import Tensor
+from tests.nn.reference_ops import dense_embedding_lookup
 
 
 class TestSparseGradRepresentation:
@@ -79,46 +80,35 @@ class TestSparseBackward:
         assert isinstance(grad, SparseGrad)
         assert grad.nnz_rows == 2
 
-    def test_toggle_restores_dense_path(self, rng):
-        weight = Parameter(rng.normal(size=(20, 4)))
-        with use_sparse_grads(False):
-            assert not sparse_grads_enabled()
-            out = embedding_lookup(weight, np.array([3, 3, 7]))
-            out.sum().backward()
-        assert isinstance(weight.grad, np.ndarray)
-        assert sparse_grads_enabled()
-
     def test_sparse_matches_dense_backward(self, rng):
         data = rng.normal(size=(30, 5))
         indices = rng.integers(0, 30, size=64)
         coeff = rng.normal(size=(64, 5))
 
-        def run():
+        def run(lookup):
             weight = Parameter(data.copy())
-            out = embedding_lookup(weight, indices)
+            out = lookup(weight, indices)
             (out * Tensor(coeff)).sum().backward()
             return weight.grad
 
-        sparse = run()
-        with use_sparse_grads(False):
-            dense = run()
+        sparse = run(embedding_lookup)
+        dense = run(dense_embedding_lookup)
         np.testing.assert_allclose(sparse.to_dense(), dense)
 
     def test_shared_table_two_lookups_accumulate(self, rng):
         """sparse + sparse accumulation on a table shared by two branches."""
         data = rng.normal(size=(15, 3))
 
-        def run():
+        def run(lookup):
             weight = Parameter(data.copy())
-            a = embedding_lookup(weight, np.array([0, 1, 1]))
-            b = embedding_lookup(weight, np.array([1, 9]))
+            a = lookup(weight, np.array([0, 1, 1]))
+            b = lookup(weight, np.array([1, 9]))
             (a.sum() + 2.0 * b.sum()).backward()
             return weight.grad
 
-        sparse = run()
+        sparse = run(embedding_lookup)
         assert isinstance(sparse, SparseGrad)
-        with use_sparse_grads(False):
-            dense = run()
+        dense = run(dense_embedding_lookup)
         np.testing.assert_allclose(sparse.to_dense(), dense)
 
     def test_mixed_sparse_and_dense_contributions(self, rng):
@@ -126,16 +116,15 @@ class TestSparseBackward:
         data = rng.normal(size=(6, 4))
         coeff = rng.normal(size=(6, 4))
 
-        def run():
+        def run(lookup):
             weight = Parameter(data.copy())
-            lookup = embedding_lookup(weight, np.array([2, 2, 4]))
+            rows = lookup(weight, np.array([2, 2, 4]))
             dense_use = (weight * Tensor(coeff)).sum()
-            (lookup.sum() + dense_use).backward()
+            (rows.sum() + dense_use).backward()
             return weight.grad
 
-        got = run()
-        with use_sparse_grads(False):
-            expected = run()
+        got = run(embedding_lookup)
+        expected = run(dense_embedding_lookup)
         np.testing.assert_allclose(np.asarray(got), np.asarray(expected))
 
     def test_clip_gradients_handles_sparse(self, rng):

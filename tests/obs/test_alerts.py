@@ -1,7 +1,9 @@
 """Alert rules: thresholds, hysteresis, debouncing and sinks."""
 
 import json
+import logging
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -11,9 +13,11 @@ from repro.obs import (
     CallbackSink,
     JsonlSink,
     MetricsRegistry,
+    QualityMonitor,
     Severity,
     use_registry,
 )
+from repro.serving import Event, EventKind
 
 
 def _engine(*rules, sinks=()):
@@ -134,3 +138,29 @@ class TestSinks:
         assert len(lines) == 2
         assert json.loads(lines[0])["kind"] == "fired"
         assert json.loads(lines[1])["kind"] == "resolved"
+
+    @pytest.mark.parametrize("sinks, logged", [(None, 1), ((), 0)])
+    def test_empty_sinks_mean_no_sink(self, sinks, logged):
+        """``sinks=None`` is the log sink; an explicit ``()`` is none."""
+        records = []
+        handler = logging.Handler(level=logging.DEBUG)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.obs.alerts")
+        previous_level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        try:
+            rule = AlertRule("low-auc", "quality.streaming_auc", 1.0,
+                             direction="below", consecutive=1)
+            monitor = QualityMonitor(min_outcomes=1, rules=(rule,), sinks=sinks)
+            monitor.attach_catalogue(2)
+            monitor.observe_serving_batch(
+                [Event(EventKind.VIEW, 0, 1, 0.0), Event(EventKind.CLICK, 0, 1, 1.0),
+                 Event(EventKind.VIEW, 1, 2, 2.0)],
+                scores=np.array([0.9, 0.1]),
+            )
+            assert [t.rule for t in monitor.evaluate()] == ["low-auc"]
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(previous_level)
+        assert len(records) == logged

@@ -1,9 +1,14 @@
 """Flight recorder: ring buffer, tail exemplars, postmortems, replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.alerts import Alert
 from repro.obs.context import RequestRecord, request_scope
@@ -212,6 +217,21 @@ class TestReplay:
         assert main([str(path)]) == 0
         assert "postmortem bundle" in capsys.readouterr().out
         assert main([str(tmp_path / "missing")]) == 2
+
+    def test_replay_cli_runs_without_warnings(self, tmp_path):
+        recorder = FlightRecorder(capacity=4, postmortem_dir=tmp_path)
+        recorder.on_request(_record("t-1"))
+        path = recorder.dump_postmortem("manual")
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.obs.flight", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert "postmortem bundle" in result.stdout
 
 
 class TestActiveRecorder:
