@@ -145,44 +145,57 @@ def _interleaved_dtypes(preset, dtypes, seed=0):
     return [_timings(arm_times) for arm_times in times]
 
 
-def _run_variant(preset, dtype, profile=False, seed=0, sanitize=None):
-    """Time the embedding-heavy train step for one engine configuration.
+def _interleaved_sanitizer(preset, seed=0):
+    """Time the float64 step with the sanitizer off, on and deep, per round.
 
-    ``sanitize`` arms the runtime sanitizer around the measured steps:
     ``"on"`` is the standard mode (version checks + NaN/Inf taint),
     ``"deep"`` additionally fingerprints every saved buffer
-    (``check_content=True``).  ``None`` — the default, and the
-    configuration every regression gate measures — runs the unpatched
-    engine.
+    (``check_content=True``).  One model runs every arm: each round
+    takes one step per arm, enabling or disabling the sanitizer between
+    steps outside the timed region, and the arm order rotates from round
+    to round as in :func:`_interleaved_dtypes`.
     """
-    warmup = PRESETS[preset]["warmup_steps"]
-    sanitizer = None
-    if sanitize is not None:
-        from repro.analysis import GradSanitizer
+    from repro.analysis import GradSanitizer
 
-        sanitizer = GradSanitizer(
-            track_nonfinite=True, check_content=(sanitize == "deep")
-        )
+    dtype = np.float64  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
+    warmup = PRESETS[preset]["warmup_steps"]
+    sanitizers = {
+        "off": None,
+        "on": GradSanitizer(track_nonfinite=True),
+        "deep": GradSanitizer(track_nonfinite=True, check_content=True),
+    }
+    arms = list(sanitizers)
     model, optimizer, batches, labels = _build_arm(preset, dtype, seed)
-    profiler = AutogradProfiler() if profile else None
+    times = {arm: [] for arm in arms}
+    with default_dtype(dtype):
+        for step in range(warmup + PRESETS[preset]["steps"]):
+            for offset in range(len(arms)):
+                arm = arms[(step + offset) % len(arms)]
+                sanitizer = sanitizers[arm]
+                if sanitizer is not None:
+                    sanitizer.enable()
+                try:
+                    elapsed = _timed_steps(
+                        model, optimizer, [batches[step]], labels
+                    )
+                finally:
+                    if sanitizer is not None:
+                        sanitizer.disable()
+                if step >= warmup:
+                    times[arm] += elapsed
+    return {arm: _timings(arm_times) for arm, arm_times in times.items()}
+
+
+def _profiled_step(preset, dtype, seed=0):
+    """The train step's per-op breakdown under the autograd profiler."""
+    warmup = PRESETS[preset]["warmup_steps"]
+    model, optimizer, batches, labels = _build_arm(preset, dtype, seed)
+    profiler = AutogradProfiler()
     with default_dtype(dtype):
         _timed_steps(model, optimizer, batches[:warmup], labels)
-        if profiler is not None:
-            profiler.enable()
-        if sanitizer is not None:
-            sanitizer.enable()
-        try:
-            times = _timed_steps(model, optimizer, batches[warmup:], labels)
-        finally:
-            if sanitizer is not None:
-                sanitizer.disable()
-            if profiler is not None:
-                profiler.disable()
-    return {
-        **_timings(times),
-        "per_op": list(profiler.iter_records()) if profiler else None,
-        "breakdown_text": profiler.to_text() if profiler else None,
-    }
+        with profiler:
+            _timed_steps(model, optimizer, batches[warmup:], labels)
+    return list(profiler.iter_records()), profiler.to_text()
 
 
 def _bench_engine_refresh(preset):
@@ -241,25 +254,18 @@ def run_suite(preset: str) -> dict:
     print(f"  float64 {sparse_f64['seconds_per_step_median'] * 1e3:.2f} ms/step, "
           f"float32 {sparse_f32['seconds_per_step_median'] * 1e3:.2f} ms/step (medians)")
 
-    # Sanitizer overhead: every row runs one arm on its own, since
-    # interleaving with a second model slows each step; the gated ratio
-    # above never runs under the sanitizer.
-    print("[autograd-suite] sparse float64, sanitizer off ...")
-    unpatched = _run_variant(preset, dtype=np.float64)  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
-    print(f"  {unpatched['seconds_per_step'] * 1e3:.2f} ms/step")
-    print("[autograd-suite] sparse float64 + sanitizer ...")
-    sanitized = _run_variant(preset, dtype=np.float64, sanitize="on")  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
-    print(f"  {sanitized['seconds_per_step'] * 1e3:.2f} ms/step")
-    print("[autograd-suite] sparse float64 + sanitizer (deep) ...")
-    sanitized_deep = _run_variant(
-        preset, dtype=np.float64, sanitize="deep"  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
-    )
-    print(f"  {sanitized_deep['seconds_per_step'] * 1e3:.2f} ms/step")
+    # Sanitizer overhead; the gated ratio above never runs under it.
+    print("[autograd-suite] sparse float64, sanitizer off/on/deep, interleaved ...")
+    sanitizer = _interleaved_sanitizer(preset)
+    print("  " + ", ".join(
+        f"{arm} {timings['seconds_per_step_median'] * 1e3:.2f} ms/step"
+        for arm, timings in sanitizer.items()
+    ) + " (medians)")
 
     # The per-op breakdown comes from its own run: the profiler's hooks
     # would otherwise inflate the float64 time every ratio divides.
     print("[autograd-suite] sparse float64 under the autograd profiler ...")
-    profiled = _run_variant(preset, dtype=np.float64, profile=True)  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
+    per_op, breakdown_text = _profiled_step(preset, dtype=np.float64)  # repro-lint: disable=ATN002 -- the bench matrix compares dtypes explicitly; float64 is this variant's subject, not a default
 
     print("[autograd-suite] serving refresh full vs incremental ...")
     engine = _bench_engine_refresh(preset)
@@ -267,8 +273,7 @@ def run_suite(preset: str) -> dict:
           f"{engine['incremental_seconds'] * 1e3:.2f} ms "
           f"({engine['speedup']:.1f}x)")
 
-    timing_keys = ("seconds_per_step", "seconds_per_step_median",
-                   "seconds_per_step_std", "steps")
+    off_median = sanitizer["off"]["seconds_per_step_median"]
     speedup = (
         sparse_f64["seconds_per_step_median"] / sparse_f32["seconds_per_step_median"]
     )
@@ -282,21 +287,19 @@ def run_suite(preset: str) -> dict:
             "speedup_f32_vs_f64": speedup,
         },
         "sanitizer": {
-            "off": {k: unpatched[k] for k in timing_keys},
-            "on": {k: sanitized[k] for k in timing_keys},
-            "deep": {k: sanitized_deep[k] for k in timing_keys},
+            **sanitizer,
             "overhead_on_vs_off": (
-                sanitized["seconds_per_step"] / unpatched["seconds_per_step"]
+                sanitizer["on"]["seconds_per_step_median"] / off_median
             ),
             "overhead_deep_vs_off": (
-                sanitized_deep["seconds_per_step"] / unpatched["seconds_per_step"]
+                sanitizer["deep"]["seconds_per_step_median"] / off_median
             ),
         },
-        "per_op": {"sparse_f64": profiled["per_op"]},
+        "per_op": {"sparse_f64": per_op},
         "serving_refresh": engine,
     }
     print(f"[autograd-suite] float32-vs-float64 speedup: {speedup:.2f}x")
-    return report, profiled["breakdown_text"]
+    return report, breakdown_text
 
 
 def check_regression(report: dict, baseline_path: Path, max_regression: float) -> bool:

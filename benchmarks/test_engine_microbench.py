@@ -135,19 +135,16 @@ def test_bench_monitor_overhead(micro_world, micro_model, save_report):
     """
     import gc
     import time as _time
-    from contextlib import ExitStack
 
     from repro.data.schema import GROUP_USER
     from repro.obs import (
         FlightRecorder,
         QualityMonitor,
         SLOTracker,
+        Telemetry,
         Tracer,
         default_serving_slos,
-        use_flight_recorder,
-        use_monitor,
-        use_slo_tracker,
-        use_tracer,
+        use_telemetry,
     )
     from repro.serving import EngineConfig, RealTimeEngine, generate_event_stream
 
@@ -191,37 +188,33 @@ def test_bench_monitor_overhead(micro_world, micro_model, save_report):
     ARMS = ("baseline", "monitored", "flight")
     ROUNDS = 21  # a multiple of len(ARMS): every arm order runs equally often
 
-    def timed(arm):
+    def telemetry_for(arm):
         # sinks=() keeps rare-event alert I/O (measured in the alert
-        # tests) and pytest's log capture out of the compute timing;
-        # GC is paused so collection pauses don't land on one arm.  The
-        # flight arm uses a latency SLO far above real latencies and an
-        # AUC floor far below the untrained model's, so no burn-rate
+        # tests) and pytest's log capture out of the compute timing.
+        # The flight arm uses a latency SLO far above real latencies and
+        # an AUC floor far below the untrained model's, so no burn-rate
         # alert (and thus no alert log I/O) fires mid-bench.
+        if arm == "baseline":
+            return Telemetry()
+        monitor = QualityMonitor(sinks=())
+        if arm == "monitored":
+            return Telemetry(monitor=monitor)
+        return Telemetry(
+            monitor=monitor,
+            tracer=Tracer(),
+            slo=SLOTracker(
+                default_serving_slos(latency_p99_seconds=60.0, auc_floor=0.01),
+                sinks=(),
+            ),
+            flight=FlightRecorder(capacity=256, auto_dump=False),
+        )
+
+    def timed(arm):
+        # GC is paused so collection pauses don't land on one arm.
         gc.collect()
         gc.disable()
         try:
-            with ExitStack() as stack:
-                if arm in ("monitored", "flight"):
-                    stack.enter_context(use_monitor(QualityMonitor(sinks=())))
-                if arm == "flight":
-                    stack.enter_context(use_tracer(Tracer()))
-                    stack.enter_context(
-                        use_slo_tracker(
-                            SLOTracker(
-                                default_serving_slos(
-                                    latency_p99_seconds=60.0,
-                                    auc_floor=0.01,
-                                ),
-                                sinks=(),
-                            )
-                        )
-                    )
-                    stack.enter_context(
-                        use_flight_recorder(
-                            FlightRecorder(capacity=256, auto_dump=False)
-                        )
-                    )
+            with use_telemetry(telemetry_for(arm)):
                 return serving_loop()
         finally:
             gc.enable()

@@ -1,7 +1,7 @@
 """Reason-mandatory baseline for the effects pass.
 
 The effects analyzer is a *may* analysis: it over-approximates, and some
-findings are deliberate (the ambient scoping stacks exist precisely to
+findings are deliberate (the ambient telemetry slot exists precisely to
 be process-global).  Those accepted findings live in a checked-in JSON
 baseline instead of inline suppressions because they are properties of
 call *chains*, not single lines.

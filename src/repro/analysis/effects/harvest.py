@@ -92,6 +92,10 @@ _LEGACY_NP_RANDOM = frozenset(
     }
 )
 
+# The ambient telemetry slot's accessor: its result is a handle whose
+# fields (``registry``, ``monitor``, ``slo``...) are ambient channels.
+_SLOT_ACCESSOR = "current_telemetry"
+
 # Suppression codes that mute a float64 literal as an EFF005 taint
 # source (a reasoned ATN002 suppression documents the promotion).
 _FLOAT64_SUPPRESSORS = ("ATN002", "EFF005")
@@ -184,6 +188,7 @@ class _FunctionHarvester:
         self.param_aliases: Dict[str, str] = {p: p for p in info.params}
         self.view_locals: Dict[str, Tuple[str, str]] = {}
         self.handle_locals: Dict[str, str] = {}  # local -> ambient channel
+        self.slot_locals: Set[str] = set()  # locals bound to the slot
         self.call_results: Dict[str, int] = {}  # local -> call_sites index
         # Closures seen so far: name -> (def line, captured names).
         self.closures: Dict[str, Tuple[int, Set[str]]] = {}
@@ -228,6 +233,21 @@ class _FunctionHarvester:
                 )
 
     # -- expression classification -------------------------------------
+    def _is_slot(self, node: ast.AST) -> bool:
+        """``current_telemetry()`` or a local bound to its result."""
+        if isinstance(node, ast.Name):
+            return node.id in self.slot_locals
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            target = self.imports.get(node.func.id, node.func.id)
+            return target.rsplit(".", 1)[-1] == _SLOT_ACCESSOR
+        return False
+
+    def _slot_field(self, node: ast.AST) -> Optional[str]:
+        """The channel ``node`` denotes when it is ``<slot>.<field>``."""
+        if isinstance(node, ast.Attribute) and self._is_slot(node.value):
+            return node.attr
+        return None
+
     def _arg_ref(self, node: ast.AST) -> ArgRef:
         if isinstance(node, ast.Name):
             if node.id in self.param_aliases:
@@ -295,12 +315,24 @@ class _FunctionHarvester:
         ref = self._call_ref(node.func)
         line = node.lineno
 
-        # Ambient channels: get_active_*/set_active_* by local name or
-        # import target, plus method calls on handles obtained that way.
+        # Ambient channels: the telemetry slot's fields and
+        # get_active_*/set_active_* by local name or import target, plus
+        # method calls on handles obtained either way.
+        if isinstance(node.func, ast.Attribute):
+            channel = self._slot_field(node.func.value)
+            if channel is not None:
+                self.info.ambient_writes.setdefault(
+                    f"{channel}.{node.func.attr}", line
+                )
+                return None
         if ref is not None and ref[0] == "name":
             name = ref[1]
             target = self.imports.get(name, name)
             leaf = target.rsplit(".", 1)[-1]
+            if leaf == _SLOT_ACCESSOR:
+                if result_local is not None:
+                    self.slot_locals.add(result_local)
+                return None
             if leaf.startswith("get_active_"):
                 channel = leaf[len("get_active_"):]
                 self.info.ambient_reads.setdefault(channel, line)
@@ -432,8 +464,13 @@ class _FunctionHarvester:
             self.param_aliases.pop(name, None)
             self.view_locals.pop(name, None)
             self.handle_locals.pop(name, None)
+            self.slot_locals.discard(name)
             self.call_results.pop(name, None)
-            if isinstance(value, ast.Name) and value.id in self.param_aliases:
+            channel = self._slot_field(value)
+            if channel is not None:
+                self.info.ambient_reads.setdefault(channel, line)
+                self.handle_locals[name] = channel
+            elif isinstance(value, ast.Name) and value.id in self.param_aliases:
                 self.param_aliases[name] = self.param_aliases[value.id]
             else:
                 source = self._view_source(value)

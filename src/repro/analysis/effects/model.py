@@ -5,7 +5,8 @@ The analyzer (see :mod:`repro.analysis.effects`) works in three stages:
 1. **Harvest** (:mod:`repro.analysis.effects.harvest`) parses every
    module under a source root and extracts *local* facts per function —
    which parameters it writes in place, which module-level globals it
-   reads or writes, which ambient ``get_active_*`` channels it touches,
+   reads or writes, which ambient channels it touches (fields of the
+   ``current_telemetry()`` slot, ``get_active_*`` handles),
    whether it returns a view of a parameter or attribute, whether it
    uses numpy's process-global RNG, and every call site with its
    argument bindings.

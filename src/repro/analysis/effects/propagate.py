@@ -1,7 +1,7 @@
 """Signature propagation: compose local facts through the call graph.
 
-Channel effects (module-global reads/writes, ambient ``get_active_*``
-channels, process-global RNG, float64 taint) propagate
+Channel effects (module-global reads/writes, ambient channels of the
+telemetry slot, process-global RNG, float64 taint) propagate
 context-insensitively: a caller inherits every channel its callees
 touch, tagged with the qualname of the function whose *local* fact
 introduced the effect, so diagnostics can always name the origin.
@@ -49,7 +49,7 @@ def _filter_globals(
     The harvester records a candidate for every imported dotted name; a
     reference only counts when its target module was parsed and the leaf
     is genuine module-level data (this is what separates
-    ``from x import _ACTIVE_CONTEXTS`` from ``from x import kmeans``).
+    ``from x import _ACTIVE_TELEMETRY`` from ``from x import kmeans``).
     """
     for info in functions.values():
         for table in (info.global_writes, info.global_reads):

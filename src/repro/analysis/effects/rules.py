@@ -17,10 +17,11 @@ check themselves:
     concurrent engines in one process would share, unless the baseline
     accepts it; the full set renders as ``docs/thread_hostility.md``.
 ``EFF004`` ambient-discipline
-    The ``_ACTIVE_*`` scope stacks may only be written by their module's
-    own scoping constructs (``use_*`` / ``set_active_*`` /
-    ``__enter__``/``__exit__``) and only read from other modules through
-    the ``get_active_*`` accessors.
+    An ``_ACTIVE_*`` module global (the telemetry slot) may only be
+    written by its module's own scoping constructs (``use_*`` /
+    ``set_active_*`` / ``__enter__``/``__exit__``) and only read from
+    other modules through the module's accessor
+    (``current_telemetry()``).
 ``EFF005`` interprocedural dtype promotion
     A function in ATN002's dtype-configurable scope calls an
     out-of-scope helper whose signature carries float64 taint — the
@@ -302,7 +303,7 @@ def _ambient_discipline(analysis: EffectAnalysis) -> List[Diagnostic]:
                 Diagnostic.make(
                     "EFF004",
                     ERROR,
-                    f"'{leaf}' is a scope stack; only {owner}'s own "
+                    f"'{leaf}' is an ambient slot; only {owner}'s own "
                     "use_*/set_active_* constructs may write it — wrap "
                     "the mutation in the module's context manager",
                     location=f"{info.relpath}:{line}",
@@ -320,9 +321,9 @@ def _ambient_discipline(analysis: EffectAnalysis) -> List[Diagnostic]:
                 Diagnostic.make(
                     "EFF004",
                     ERROR,
-                    f"cross-module read of scope stack '{leaf}'; go "
-                    f"through {owner}'s get_active_* accessor so scoping "
-                    "stays observable in one place",
+                    f"cross-module read of ambient slot '{leaf}'; go "
+                    f"through {owner}'s accessor so scoping stays "
+                    "observable in one place",
                     location=f"{info.relpath}:{line}",
                     symbol=qualname,
                     channel=channel,

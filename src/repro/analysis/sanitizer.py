@@ -53,7 +53,7 @@ from repro.nn.sparse import SparseGrad
 from repro.nn.tensor import Tensor, get_active_sanitizer, set_active_sanitizer
 from repro.obs.autograd import PROFILED_OPS
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import get_active_registry
+from repro.obs.context import current_telemetry
 
 __all__ = ["GradSanitizer", "SanitizerError", "TaintRecord", "sanitizer_active"]
 
@@ -143,7 +143,7 @@ class GradSanitizer:
     # ------------------------------------------------------------------
     def _count(self, key: str) -> None:
         self.stats[key] += 1
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter(
                 f"analysis.sanitizer.{key}",

@@ -34,7 +34,8 @@ from repro.nn.losses import (
 )
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.tensor import Tensor, no_grad, set_default_dtype
-from repro.obs.callbacks import BatchStats, TrainerCallback, global_callbacks
+from repro.obs.callbacks import BatchStats, TrainerCallback
+from repro.obs.context import current_telemetry
 from repro.obs.tracing import maybe_span
 
 __all__ = [
@@ -289,7 +290,10 @@ class _BaseTrainer:
         self._best_value = None
         self._best_state = None
         self._epochs_without_improvement = 0
-        self._active_callbacks = tuple(self.callbacks) + global_callbacks()
+        ambient = current_telemetry().callback
+        self._active_callbacks = tuple(self.callbacks) + (
+            () if ambient is None else (ambient,)
+        )
         self._parameter_groups = []
         if self._active_callbacks:
             # Group parameters by the model's top-level submodule; a shared

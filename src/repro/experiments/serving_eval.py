@@ -10,7 +10,7 @@ much live statistics sharpen the cold-start ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -18,8 +18,8 @@ import numpy as np
 from repro.experiments.pipeline import TmallArtifacts, build_tmall_artifacts
 from repro.metrics import rank_correlation
 from repro.metrics.auc import roc_auc
-from repro.obs.quality import QualityMonitor, get_active_monitor, use_monitor
-from repro.obs.slo import get_active_slo_tracker
+from repro.obs.context import current_telemetry, use_telemetry
+from repro.obs.quality import QualityMonitor
 from repro.serving import EngineConfig, RealTimeEngine, generate_event_stream
 from repro.serving.events import join_click_outcomes
 from repro.utils.rng import derive_seed
@@ -239,9 +239,10 @@ def run_monitored_serving(
 ) -> MonitoredServingResult:
     """The serving warm-up loop with the quality monitor armed.
 
-    Uses the active monitor when one is in scope (e.g. the CLI's
-    ``--monitor`` telemetry session); otherwise builds and activates a
-    default :class:`~repro.obs.quality.QualityMonitor` for the run.
+    Uses the ambient telemetry's monitor when it has one (e.g. the CLI's
+    ``--monitor`` telemetry session); otherwise builds a default
+    :class:`~repro.obs.quality.QualityMonitor` and puts it in the slot
+    for the run.
     Alongside the monitor's streaming estimates, the run accumulates
     every (outcome, served score) pair and computes the **exact** AUC
     offline, so reports carry both numbers and their gap.
@@ -254,8 +255,9 @@ def run_monitored_serving(
         n = len(world.new_items)
         event_batches = (0, 20 * n, 60 * n)
 
+    telemetry = current_telemetry()
     if monitor is None:
-        monitor = get_active_monitor() or QualityMonitor()
+        monitor = telemetry.monitor or QualityMonitor()
 
     engine = RealTimeEngine(
         artifacts.model,
@@ -269,7 +271,7 @@ def run_monitored_serving(
     stages: List[ServingStage] = []
     exact_labels: List[np.ndarray] = []
     exact_scores: List[np.ndarray] = []
-    with use_monitor(monitor):
+    with use_telemetry(replace(telemetry, monitor=monitor)):
         for batch_size in event_batches:
             if batch_size > 0:
                 events = generate_event_stream(
@@ -304,9 +306,9 @@ def run_monitored_serving(
         scores = np.concatenate(exact_scores)
         if 0.0 < labels.mean() < 1.0:
             exact_auc = roc_auc(labels, scores)
-    # Riding SLO tracker (e.g. the CLI's --slo session): the engine has
-    # already fed it through the request observers; report its state.
-    tracker = get_active_slo_tracker()
+    # Riding SLO tracker (e.g. the CLI's --slo session): the engine's
+    # request scopes have already fed it; report its state.
+    tracker = telemetry.slo
     slo_snapshot: Dict[str, Optional[float]] = {}
     slo_exhausted: List[str] = []
     if tracker is not None:

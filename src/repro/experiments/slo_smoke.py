@@ -30,11 +30,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.experiments.pipeline import TmallArtifacts, build_tmall_artifacts
-from repro.obs.flight import FlightRecorder, use_flight_recorder
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.quality import QualityMonitor, use_monitor
-from repro.obs.slo import SLO, SLOTracker, use_slo_tracker
-from repro.obs.tracing import Tracer, maybe_span, use_tracer
+from repro.obs.context import Telemetry, use_telemetry
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.quality import QualityMonitor
+from repro.obs.slo import SLO, SLOTracker
+from repro.obs.tracing import Tracer, maybe_span
 from repro.serving import EngineConfig, RealTimeEngine, generate_event_stream
 from repro.utils.rng import derive_seed
 
@@ -209,8 +210,11 @@ def _run_phase(
             time.sleep(spike_seconds)
         return original_ingest(events, columns=columns)
 
-    with use_registry(registry), use_tracer(tracer), use_monitor(monitor), \
-            use_slo_tracker(tracker), use_flight_recorder(recorder):
+    telemetry = Telemetry(
+        registry=registry, tracer=tracer, monitor=monitor, slo=tracker,
+        flight=recorder,
+    )
+    with use_telemetry(telemetry):
         for batch in range(n_batches):
             if spike_from is not None and batch >= spike_from:
                 engine.store.ingest = slow_ingest

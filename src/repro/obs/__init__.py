@@ -2,10 +2,18 @@
 
 The package provides these composable surfaces:
 
+* :mod:`repro.obs.context` — the one ambient slot: a :class:`Telemetry`
+  object (registry, tracer, monitor, SLO tracker, flight recorder,
+  trainer callback) put in place with :class:`use_telemetry` and read by
+  library code with :func:`current_telemetry`, plus the request-scoped
+  trace context (:class:`TraceContext` / :class:`request_scope`)
+  propagated through the serving engine, so every emitted sample, alert
+  and telemetry record carries the ``trace_id`` of the request that
+  produced it;
 * :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
-  instruments in a :class:`MetricsRegistry`, with scoped activation so
-  instrumented library code reports only when telemetry is on;
-* :mod:`repro.obs.tracing` — nested ``Span``/``Tracer`` wall-clock timing;
+  instruments in a :class:`MetricsRegistry`;
+* :mod:`repro.obs.tracing` — nested ``Span``/``Tracer`` wall-clock timing
+  and the Chrome-trace event and document builders;
 * :mod:`repro.obs.autograd` — an opt-in per-op profiler for the
   ``repro.nn`` autograd engine;
 * :mod:`repro.obs.callbacks` — the trainer callback interface plus the
@@ -15,23 +23,20 @@ The package provides these composable surfaces:
   AUC/ECE, cohort CTR, cold-start lifecycle tracking) with
   :mod:`repro.obs.drift` score/feature drift detectors and
   :mod:`repro.obs.alerts` threshold+hysteresis alerting;
-* :mod:`repro.obs.context` — request-scoped trace context
-  (:class:`TraceContext` / :class:`request_scope`) propagated through
-  the serving engine, so every emitted sample, alert and telemetry
-  record carries the ``trace_id`` of the request that produced it;
 * :mod:`repro.obs.slo` — declarative SLOs with rolling error budgets
   and multi-window burn-rate alerting over the serving stream;
 * :mod:`repro.obs.flight` — the serving flight recorder: a bounded ring
   of recent per-request span trees with tail-exemplar sampling and
   automatic postmortem bundles (replay with
   ``python -m repro.obs.flight <bundle>``);
-* :mod:`repro.obs.session` — :class:`TelemetrySession`, which activates
-  everything at once and renders JSONL/text run reports (the CLI's
-  ``--telemetry`` flag), plus Chrome-trace export.
+* :mod:`repro.obs.session` — :class:`TelemetrySession`, which builds a
+  :class:`Telemetry`, holds it in the slot for a block and renders
+  JSONL/text run reports (the CLI's ``--telemetry`` flag), plus
+  Chrome-trace export.
 
 Only numpy and the standard library are used, and every hook is pay-for-
-what-you-use: with no active registry/tracer/profiler/monitor the
-instrumented hot paths skip telemetry entirely.
+what-you-use: with an empty slot and no profiler the instrumented hot
+paths skip telemetry entirely.
 """
 
 from repro.obs.alerts import (
@@ -43,33 +48,19 @@ from repro.obs.alerts import (
     JsonlSink,
     LogSink,
     Severity,
-    register_alert_observer,
-    unregister_alert_observer,
 )
 from repro.obs.autograd import AutogradProfiler, OpStats
 from repro.obs.context import (
     RequestRecord,
+    Telemetry,
     TraceContext,
-    current_trace_context,
+    current_telemetry,
     new_trace_id,
-    register_request_observer,
     request_scope,
-    unregister_request_observer,
+    use_telemetry,
 )
-from repro.obs.flight import (
-    FlightRecorder,
-    get_active_flight_recorder,
-    load_bundle,
-    use_flight_recorder,
-)
-from repro.obs.callbacks import (
-    BatchStats,
-    TelemetryCallback,
-    TrainerCallback,
-    global_callbacks,
-    register_global_callback,
-    unregister_global_callback,
-)
+from repro.obs.flight import FlightRecorder, load_bundle
+from repro.obs.callbacks import BatchStats, TelemetryCallback, TrainerCallback
 from repro.obs.drift import DriftDetector, kl_divergence, psi
 from repro.obs.logging import configure_logging, get_logger, kv
 from repro.obs.metrics import (
@@ -78,9 +69,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_active_registry,
     prometheus_metric_name,
-    use_registry,
 )
 from repro.obs.quality import (
     CohortCTR,
@@ -89,8 +78,6 @@ from repro.obs.quality import (
     StreamingAUC,
     WindowedECE,
     default_quality_rules,
-    get_active_monitor,
-    use_monitor,
 )
 from repro.obs.session import TelemetrySession
 from repro.obs.slo import (
@@ -98,16 +85,14 @@ from repro.obs.slo import (
     SLOTracker,
     SLOWindow,
     default_serving_slos,
-    get_active_slo_tracker,
-    use_slo_tracker,
 )
 from repro.obs.tracing import (
     Span,
     SpanStats,
     Tracer,
-    get_active_tracer,
+    chrome_event,
+    chrome_trace_json,
     maybe_span,
-    use_tracer,
 )
 from repro.obs.window import SlidingBlocks
 
@@ -120,16 +105,11 @@ __all__ = [
     "JsonlSink",
     "LogSink",
     "Severity",
-    "register_alert_observer",
-    "unregister_alert_observer",
     "AutogradProfiler",
     "OpStats",
     "BatchStats",
     "TelemetryCallback",
     "TrainerCallback",
-    "global_callbacks",
-    "register_global_callback",
-    "unregister_global_callback",
     "DriftDetector",
     "kl_divergence",
     "psi",
@@ -141,40 +121,32 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_active_registry",
     "prometheus_metric_name",
-    "use_registry",
     "CohortCTR",
     "ColdStartTracker",
     "QualityMonitor",
     "StreamingAUC",
     "WindowedECE",
     "default_quality_rules",
-    "get_active_monitor",
-    "use_monitor",
     "RequestRecord",
+    "Telemetry",
     "TraceContext",
-    "current_trace_context",
+    "current_telemetry",
     "new_trace_id",
-    "register_request_observer",
     "request_scope",
-    "unregister_request_observer",
+    "use_telemetry",
     "FlightRecorder",
-    "get_active_flight_recorder",
     "load_bundle",
-    "use_flight_recorder",
     "SLO",
     "SLOTracker",
     "SLOWindow",
     "default_serving_slos",
-    "get_active_slo_tracker",
-    "use_slo_tracker",
     "TelemetrySession",
     "Span",
     "SpanStats",
     "Tracer",
-    "get_active_tracer",
+    "chrome_event",
+    "chrome_trace_json",
     "maybe_span",
-    "use_tracer",
     "SlidingBlocks",
 ]

@@ -15,9 +15,10 @@ snapshot.  Each :class:`AlertRule` watches one metric with
 Fired and resolved transitions are emitted as :class:`Alert` records to
 pluggable sinks: :class:`LogSink` (structured logging),
 :class:`JsonlSink` (append to a JSONL file) and :class:`CallbackSink`
-(any callable).  Missing or non-finite metric values leave a rule's
-state untouched — a warming-up estimator neither fires nor clears
-anything.
+(any callable).  A fired alert also reaches the flight recorder of the
+ambient :class:`~repro.obs.context.Telemetry`, which dumps a postmortem
+bundle.  Missing or non-finite metric values leave a rule's state
+untouched — a warming-up estimator neither fires nor clears anything.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.context import current_trace_context
+from repro.obs.context import current_telemetry
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import get_active_registry
 
 __all__ = [
     "Severity",
@@ -41,8 +41,6 @@ __all__ = [
     "JsonlSink",
     "CallbackSink",
     "AlertEngine",
-    "register_alert_observer",
-    "unregister_alert_observer",
 ]
 
 _LOGGER = get_logger("obs.alerts")
@@ -207,26 +205,6 @@ class CallbackSink(AlertSink):
         self.fn(alert)
 
 
-# ----------------------------------------------------------------------
-# Fired-alert observers (the flight recorder hooks postmortem dumps here;
-# registration lives in this module so alerts stays import-light).
-# ----------------------------------------------------------------------
-_ALERT_OBSERVERS: List[Callable[[Alert], None]] = []
-
-
-def register_alert_observer(fn: Callable[[Alert], None]) -> None:
-    """Call ``fn`` with every *fired* alert from any engine."""
-    _ALERT_OBSERVERS.append(fn)
-
-
-def unregister_alert_observer(fn: Callable[[Alert], None]) -> None:
-    """Stop notifying ``fn`` (no-op when absent)."""
-    for position in range(len(_ALERT_OBSERVERS) - 1, -1, -1):
-        if _ALERT_OBSERVERS[position] is fn:
-            del _ALERT_OBSERVERS[position]
-            break
-
-
 class _RuleState:
     __slots__ = ("streak", "active")
 
@@ -238,8 +216,8 @@ class _RuleState:
 class AlertEngine:
     """Evaluates rules against metric snapshots and fans out transitions.
 
-    When a metrics registry is active, every *fired* transition also
-    increments the ``alerts.fired`` counter (and
+    When the ambient telemetry has a metrics registry, every *fired*
+    transition also increments the ``alerts.fired`` counter (and
     ``alerts.fired.<severity>``), so run reports carry the alert volume
     even without a configured sink.
     """
@@ -275,16 +253,15 @@ class AlertEngine:
 
     def _emit(self, alert: Alert) -> None:
         self.history.append(alert)
-        if alert.kind == "fired":
-            registry = get_active_registry()
-            if registry is not None:
-                registry.counter("alerts.fired").inc()
-                registry.counter(f"alerts.fired.{alert.severity}").inc()
+        fired = alert.kind == "fired"
+        telemetry = current_telemetry()
+        if fired and telemetry.registry is not None:
+            telemetry.registry.counter("alerts.fired").inc()
+            telemetry.registry.counter(f"alerts.fired.{alert.severity}").inc()
         for sink in self.sinks:
             sink.emit(alert)
-        if alert.kind == "fired":
-            for observer in list(_ALERT_OBSERVERS):
-                observer(alert)
+        if fired and telemetry.flight is not None:
+            telemetry.flight.on_alert(alert)
 
     def evaluate(self, metrics: Mapping[str, object]) -> List[Alert]:
         """Advance every rule against ``metrics``; return new transitions.
@@ -293,7 +270,7 @@ class AlertEngine:
         leave the corresponding rule's streak/active state unchanged.
         """
         self.evaluations += 1
-        context = current_trace_context()
+        context = current_telemetry().context
         trace_id = None if context is None else context.trace_id
         transitions: List[Alert] = []
         for rule in self.rules:

@@ -28,12 +28,12 @@ the original unwrapped methods, so disabled telemetry costs nothing.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.nn.tensor import Tensor
+from repro.obs.tracing import chrome_event, chrome_trace_json
 
 __all__ = ["OpStats", "AutogradProfiler", "PROFILED_OPS"]
 
@@ -255,18 +255,12 @@ class AutogradProfiler:
         if not self._events:
             return []
         if origin is None:
-            origin = min(start for _, _, start, _ in self._events)
+            origin = self.earliest_event_start()
         return [
-            {
-                "name": f"{label}.{phase}",
-                "cat": f"autograd.{phase}",
-                "ph": "X",
-                "ts": (start - origin) * 1e6,
-                "dur": elapsed * 1e6,
-                "pid": pid,
-                "tid": tid,
-                "args": {"op": label, "phase": phase},
-            }
+            chrome_event(
+                f"{label}.{phase}", f"autograd.{phase}", start, elapsed,
+                origin, tid, {"op": label, "phase": phase}, pid=pid,
+            )
             for label, phase, start, elapsed in self._events
         ]
 
@@ -278,12 +272,7 @@ class AutogradProfiler:
 
     def to_chrome_trace(self) -> str:
         """The recorded events as a Chrome/Perfetto-loadable JSON string."""
-        return json.dumps(
-            {
-                "traceEvents": self.chrome_trace_events(),
-                "displayTimeUnit": "ms",
-            }
-        )
+        return chrome_trace_json(self.chrome_trace_events())
 
     def to_text(self) -> str:
         """Per-op breakdown table ordered by total time."""

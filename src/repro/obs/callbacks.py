@@ -3,7 +3,8 @@
 ``repro.core.trainer._BaseTrainer`` emits one :class:`BatchStats` per
 optimizer step and one record per epoch to every attached
 :class:`TrainerCallback` — both callbacks passed to the trainer directly
-and *global* callbacks registered here (which is how a
+and the ``callback`` of the ambient
+:class:`~repro.obs.context.Telemetry` (which is how a
 :class:`~repro.obs.session.TelemetrySession` observes trainers it never
 constructed).
 
@@ -21,18 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.obs.context import current_telemetry
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import MetricsRegistry, get_active_registry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "BatchStats",
     "TrainerCallback",
     "TelemetryCallback",
-    "register_global_callback",
-    "unregister_global_callback",
-    "global_callbacks",
 ]
 
 _LOGGER = get_logger("obs.trainer")
@@ -95,31 +94,6 @@ class TrainerCallback:
 
 
 # ----------------------------------------------------------------------
-# Global callbacks (attached by telemetry sessions)
-# ----------------------------------------------------------------------
-_GLOBAL_CALLBACKS: List[TrainerCallback] = []
-
-
-def register_global_callback(callback: TrainerCallback) -> None:
-    """Attach ``callback`` to every trainer run until unregistered."""
-    if callback not in _GLOBAL_CALLBACKS:
-        _GLOBAL_CALLBACKS.append(callback)
-
-
-def unregister_global_callback(callback: TrainerCallback) -> None:
-    """Detach a previously registered global callback (no-op if absent)."""
-    try:
-        _GLOBAL_CALLBACKS.remove(callback)
-    except ValueError:
-        pass
-
-
-def global_callbacks() -> Tuple[TrainerCallback, ...]:
-    """The currently registered global callbacks."""
-    return tuple(_GLOBAL_CALLBACKS)
-
-
-# ----------------------------------------------------------------------
 # Metrics adapter
 # ----------------------------------------------------------------------
 # Loss keys reported by the encoder path of each trainer, used to anchor
@@ -138,7 +112,7 @@ class TelemetryCallback(TrainerCallback):
     Parameters
     ----------
     registry:
-        Destination registry; defaults to the active one at event time.
+        Destination registry; defaults to the ambient one at event time.
     drift_factor:
         How far the generator/encoder loss ratio may deviate from its EMA
         (multiplicatively, either direction) before a divergence warning
@@ -171,7 +145,9 @@ class TelemetryCallback(TrainerCallback):
         self._generator_batches = 0
 
     def _resolve_registry(self) -> Optional[MetricsRegistry]:
-        return self._registry if self._registry is not None else get_active_registry()
+        if self._registry is not None:
+            return self._registry
+        return current_telemetry().registry
 
     # ------------------------------------------------------------------
     def on_train_begin(self, trainer, model) -> None:
@@ -202,12 +178,7 @@ class TelemetryCallback(TrainerCallback):
         _LOGGER.debug(kv("epoch finished", epoch=epoch, **record))
 
     def on_validation_scores(self, path: str, labels, scores) -> None:
-        # Route to the active quality monitor (imported lazily: quality
-        # imports alerts which imports metrics; importing quality here at
-        # module top would create a cycle).
-        from repro.obs.quality import get_active_monitor
-
-        monitor = get_active_monitor()
+        monitor = current_telemetry().monitor
         if monitor is not None:
             monitor.observe_validation(path, labels, scores)
 

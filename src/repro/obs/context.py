@@ -1,32 +1,33 @@
-"""Request-scoped trace context: follow one request through the engine.
+"""The ambient telemetry slot and request-scoped trace context.
 
-PR 1's :class:`~repro.obs.tracing.Tracer` aggregates span stats globally
-— good for "where does time go overall", useless for "why was *this*
-request slow".  This module adds the per-request layer:
+Instrumented library code (the serving engine, the statistics store,
+the indexes, trainers, timers) finds its telemetry in one place: the
+:class:`Telemetry` object in the ambient slot.  :class:`use_telemetry`
+puts one there for a block and restores the outer one on exit (also on
+an exception); :func:`current_telemetry` reads it, and hands back an
+empty :class:`Telemetry` — every field None — when telemetry is off, so
+a call site pays one lookup and one ``None`` check per surface.
 
-* a :class:`TraceContext` — ``trace_id`` / ``span_id`` / ``parent_id``
-  plus free-form string ``baggage`` — that instrumented code resolves
-  with :func:`current_trace_context` and stamps onto everything it
-  emits (monitor samples, alerts, telemetry records, span events);
-* :class:`request_scope`, the context manager the serving engine wraps
-  every public entry point in.  The outermost scope opens a fresh trace;
-  nested scopes (``top_k`` lazily calling ``refresh``) become child
+The slot also carries the request in flight.  :class:`request_scope`
+wraps every public serving entry point:
+
+* the outermost scope opens a fresh trace — a :class:`TraceContext`
+  with ``trace_id`` / ``span_id`` / ``parent_id`` and string
+  ``baggage`` — that instrumented code stamps onto everything it emits
+  (monitor samples, alerts, span events);
+* nested scopes (``top_k`` lazily calling ``refresh``) become child
   spans of the same trace, so the finished request carries the whole
   causal chain;
-* request observers — the flight recorder and the SLO tracker register
-  themselves while active and receive one :class:`RequestRecord` per
-  completed root request (duration, status, engine decisions, span
-  occurrences).
+* a finished root request becomes one :class:`RequestRecord` (duration,
+  status, engine decisions, span occurrences), handed to the slot's SLO
+  tracker and then to its flight recorder.
 
-Like every other obs surface the context layer is pay-for-what-you-use:
-with no observers, no tracer and no monitor active, a request scope
-costs one counter increment and two small object allocations.
+With telemetry off, a request scope costs two small object allocations.
 
->>> from repro.obs.context import current_trace_context, request_scope
+>>> from repro.obs.context import current_telemetry, request_scope
 >>> with request_scope("demo") as ctx:
-...     inner = current_trace_context()
-...     assert inner.trace_id == ctx.trace_id
->>> current_trace_context() is None
+...     assert current_telemetry().context is ctx
+>>> current_telemetry().context is None
 True
 """
 
@@ -36,16 +37,24 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # annotations only: those modules import this one
+    from repro.obs.callbacks import TrainerCallback
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.quality import QualityMonitor
+    from repro.obs.slo import SLOTracker
+    from repro.obs.tracing import Tracer
 
 __all__ = [
+    "Telemetry",
     "TraceContext",
     "RequestRecord",
-    "current_trace_context",
+    "current_telemetry",
+    "use_telemetry",
     "request_scope",
     "new_trace_id",
-    "register_request_observer",
-    "unregister_request_observer",
 ]
 
 # Process-unique prefix + monotonically increasing counter: cheap (no
@@ -158,7 +167,7 @@ class TraceContext:
 
 @dataclass
 class RequestRecord:
-    """One completed root request, as handed to request observers.
+    """One completed root request, as handed to the SLO and flight hooks.
 
     ``spans`` carry absolute ``perf_counter`` starts; :meth:`as_dict`
     renders them relative to the request start for JSONL bundles.
@@ -225,81 +234,105 @@ class RequestRecord:
 
 
 # ----------------------------------------------------------------------
-# Active-context scoping (mirrors use_registry / use_tracer)
+# The ambient slot
 # ----------------------------------------------------------------------
-_ACTIVE_CONTEXTS: List[TraceContext] = []
+@dataclass
+class Telemetry:
+    """Everything instrumented code may report into; any field may be None.
 
-
-def current_trace_context() -> Optional[TraceContext]:
-    """The innermost active trace context, or None outside any request."""
-    return _ACTIVE_CONTEXTS[-1] if _ACTIVE_CONTEXTS else None
-
-
-# ----------------------------------------------------------------------
-# Request observers (flight recorder, SLO tracker)
-# ----------------------------------------------------------------------
-_REQUEST_OBSERVERS: List[object] = []
-
-
-def register_request_observer(observer: object) -> None:
-    """Start delivering completed :class:`RequestRecord`s to ``observer``.
-
-    ``observer`` must expose ``on_request(record: RequestRecord)``.
+    ``context`` is the innermost request's :class:`TraceContext`, kept
+    by :class:`request_scope`.  ``slo`` and ``flight`` are read when a
+    root request finishes, and their hooks are called through the
+    instance then, never bound in advance.
     """
-    _REQUEST_OBSERVERS.append(observer)
+
+    registry: Optional["MetricsRegistry"] = None
+    tracer: Optional["Tracer"] = None
+    monitor: Optional["QualityMonitor"] = None
+    slo: Optional["SLOTracker"] = None
+    flight: Optional["FlightRecorder"] = None
+    callback: Optional["TrainerCallback"] = None
+    context: Optional[TraceContext] = field(default=None, repr=False, compare=False)
 
 
-def unregister_request_observer(observer: object) -> None:
-    """Stop delivering requests to ``observer`` (no-op when absent)."""
-    for position in range(len(_REQUEST_OBSERVERS) - 1, -1, -1):
-        if _REQUEST_OBSERVERS[position] is observer:
-            del _REQUEST_OBSERVERS[position]
-            break
+_ACTIVE_TELEMETRY = Telemetry()
+
+
+def current_telemetry() -> Telemetry:
+    """The telemetry in the ambient slot (all fields None when off)."""
+    return _ACTIVE_TELEMETRY
+
+
+class use_telemetry:
+    """Put ``telemetry`` in the ambient slot for the enclosed block."""
+
+    __slots__ = ("telemetry", "_outer")
+
+    def __init__(self, telemetry: Telemetry) -> None:
+        self.telemetry = telemetry
+        self._outer: Optional[Telemetry] = None
+
+    def __enter__(self) -> Telemetry:
+        global _ACTIVE_TELEMETRY
+        self._outer = _ACTIVE_TELEMETRY
+        _ACTIVE_TELEMETRY = self.telemetry
+        return self.telemetry
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        global _ACTIVE_TELEMETRY
+        _ACTIVE_TELEMETRY = self._outer
 
 
 class request_scope:
-    """Scope one serving request: open/propagate a trace, notify observers.
+    """Scope one serving request: open or extend a trace, feed the hooks.
 
-    Entering with no active context opens a *root* request (fresh
+    Entering outside any request opens a *root* request (fresh
     ``trace_id``); entering inside one opens a child span of the same
-    trace and produces no separate observer record — the root accounts
-    for the nested work.  Exceptions mark the request ``"error"`` and
-    propagate after observers are notified (the flight recorder uses
-    that to dump a postmortem bundle).
+    trace and produces no record of its own — the root accounts for the
+    nested work.  Exceptions mark the request ``"error"`` and propagate
+    after the hooks ran (the flight recorder uses that to dump a
+    postmortem bundle).
     """
 
-    __slots__ = ("kind", "baggage", "context", "_root", "_start_perf", "_start_unix")
+    __slots__ = (
+        "kind", "baggage", "context", "_telemetry", "_parent",
+        "_start_perf", "_start_unix",
+    )
 
     def __init__(self, kind: str, baggage: Optional[Dict[str, str]] = None) -> None:
         self.kind = kind
         self.baggage = baggage
         self.context: Optional[TraceContext] = None
-        self._root = False
+        self._telemetry: Optional[Telemetry] = None
+        self._parent: Optional[TraceContext] = None
         self._start_perf = 0.0
         self._start_unix = 0.0
 
     def __enter__(self) -> TraceContext:
-        parent = current_trace_context()
-        self._root = parent is None
+        telemetry = self._telemetry = _ACTIVE_TELEMETRY
+        parent = self._parent = telemetry.context
         if parent is None:
-            self.context = TraceContext(kind=self.kind, baggage=self.baggage)
+            context = TraceContext(kind=self.kind, baggage=self.baggage)
+            if telemetry.slo is not None or telemetry.flight is not None:
+                self._start_unix = time.time()
         else:
-            self.context = parent.child(self.kind)
+            context = parent.child(self.kind)
             if self.baggage:
-                self.context.baggage.update(self.baggage)
-        _ACTIVE_CONTEXTS.append(self.context)
+                context.baggage.update(self.baggage)
+        # Written through the slot's name, not the local, so the effects
+        # analyzer reports this process-wide write.
+        self.context = _ACTIVE_TELEMETRY.context = context
         self._start_perf = time.perf_counter()
-        if self._root and _REQUEST_OBSERVERS:
-            self._start_unix = time.time()
-        return self.context
+        return context
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         duration = time.perf_counter() - self._start_perf
-        for position in range(len(_ACTIVE_CONTEXTS) - 1, -1, -1):
-            if _ACTIVE_CONTEXTS[position] is self.context:
-                del _ACTIVE_CONTEXTS[position]
-                break
-        if not self._root or not _REQUEST_OBSERVERS:
+        telemetry = self._telemetry
+        telemetry.context = self._parent
+        if self._parent is not None:
+            return
+        slo, flight = telemetry.slo, telemetry.flight
+        if slo is None and flight is None:
             return
         context = self.context
         record = RequestRecord(
@@ -314,5 +347,7 @@ class request_scope:
             spans=context.spans,
             spans_dropped=context.spans_dropped,
         )
-        for observer in list(_REQUEST_OBSERVERS):
-            observer.on_request(record)
+        if slo is not None:
+            slo.on_request(record)
+        if flight is not None:
+            flight.on_request(record)

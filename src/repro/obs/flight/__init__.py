@@ -1,9 +1,10 @@
 """Serving flight recorder: recent request traces + postmortem bundles.
 
 The aggregated tracer answers "where does time go"; the flight recorder
-answers "what exactly happened around *this* incident".  While active
-(:class:`use_flight_recorder`) it receives every completed root request
-from :mod:`repro.obs.context` and keeps
+answers "what exactly happened around *this* incident".  While it is the
+ambient telemetry's ``flight`` (see :class:`~repro.obs.context.Telemetry`)
+it receives every completed root request from :mod:`repro.obs.context`
+and keeps
 
 * a bounded **ring buffer** of the most recent
   :class:`~repro.obs.context.RequestRecord`s (span tree + engine
@@ -44,23 +45,13 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.alerts import (
-    Alert,
-    register_alert_observer,
-    unregister_alert_observer,
-)
-from repro.obs.context import (
-    RequestRecord,
-    register_request_observer,
-    unregister_request_observer,
-)
+from repro.obs.alerts import Alert
+from repro.obs.context import RequestRecord, current_telemetry
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import get_active_registry
+from repro.obs.tracing import chrome_event, chrome_trace_json
 
 __all__ = [
     "FlightRecorder",
-    "get_active_flight_recorder",
-    "use_flight_recorder",
     "load_bundle",
     "render_bundle",
     "main",
@@ -134,7 +125,7 @@ class FlightRecorder:
     # Intake
     # ------------------------------------------------------------------
     def on_request(self, record: RequestRecord) -> None:
-        """Request-observer hook: retain one completed root request."""
+        """Request hook: retain one completed root request."""
         self.requests_recorded += 1
         if len(self._ring) < self.capacity:
             self._ring.append(record)
@@ -151,7 +142,7 @@ class FlightRecorder:
                 heapq.heapreplace(
                     slowest, (record.duration_seconds, next(self._seq), record)
                 )
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("flight.requests_recorded").inc()
         if record.status != "ok":
@@ -161,7 +152,7 @@ class FlightRecorder:
             self._maybe_auto_dump(f"exception-{record.kind}", error=record.error)
 
     def on_alert(self, alert: Alert) -> None:
-        """Fired-alert observer hook: snapshot the surrounding traffic."""
+        """Fired-alert hook: snapshot the surrounding traffic."""
         self._maybe_auto_dump(f"alert-{alert.rule}", alert=alert)
 
     def _maybe_auto_dump(self, reason: str, alert=None, error=None) -> None:
@@ -256,15 +247,10 @@ class FlightRecorder:
                 }
             )
             events.append(
-                {
-                    "name": f"request:{record.kind}",
-                    "cat": "request",
-                    "ph": "X",
-                    "ts": (record.started_perf - origin) * 1e6,
-                    "dur": record.duration_seconds * 1e6,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {
+                chrome_event(
+                    f"request:{record.kind}", "request", record.started_perf,
+                    record.duration_seconds, origin, tid,
+                    {
                         "trace_id": record.trace_id,
                         "status": record.status,
                         "decisions": {
@@ -272,20 +258,15 @@ class FlightRecorder:
                             for key, value in record.decisions.items()
                         },
                     },
-                }
+                )
             )
             for path, start, elapsed in record.spans:
                 events.append(
-                    {
-                        "name": path.rsplit("/", 1)[-1],
-                        "cat": "span",
-                        "ph": "X",
-                        "ts": (start - origin) * 1e6,
-                        "dur": elapsed * 1e6,
-                        "pid": 1,
-                        "tid": tid,
-                        "args": {"path": path, "trace_id": record.trace_id},
-                    }
+                    chrome_event(
+                        path.rsplit("/", 1)[-1], "span", start, elapsed,
+                        origin, tid,
+                        {"path": path, "trace_id": record.trace_id},
+                    )
                 )
         return events
 
@@ -298,16 +279,11 @@ class FlightRecorder:
     ) -> Path:
         """Write a bundle directory and return its path.
 
-        The surrounding monitor/SLO/registry state is resolved from the
-        ambient scopes at dump time, so the snapshot reflects exactly
+        The surrounding monitor/SLO/registry state is read from the
+        ambient telemetry at dump time, so the snapshot reflects exactly
         what the alert rules saw.
         """
-        # Imported here so the flight recorder has no import-time
-        # dependency on the quality/SLO modules (they are optional at
-        # dump time anyway).
-        from repro.obs.quality import get_active_monitor
-        from repro.obs.slo import get_active_slo_tracker
-
+        telemetry = current_telemetry()
         base = Path(directory) if directory is not None else self.postmortem_dir
         if base is None:
             raise ValueError(
@@ -348,74 +324,35 @@ class FlightRecorder:
             for record in self.iter_records():
                 handle.write(json.dumps(record) + "\n")
         (bundle / "trace.json").write_text(
-            json.dumps(
-                {
-                    "traceEvents": self.chrome_trace_events(),
-                    "displayTimeUnit": "ms",
-                    "metadata": {"reason": reason},
-                }
-            ),
+            chrome_trace_json(self.chrome_trace_events(), {"reason": reason}),
             encoding="utf-8",
         )
         snapshot: Dict[str, object] = {}
-        monitor = get_active_monitor()
+        monitor = telemetry.monitor
         if monitor is not None:
             snapshot["quality"] = monitor.snapshot()
             snapshot["alerts"] = [dict(r) for r in monitor.alerts.iter_records()]
             snapshot["active_alerts"] = monitor.alerts.active_alerts()
             if monitor.cold_start is not None:
                 snapshot["cold_start"] = monitor.cold_start.summary()
-        tracker = get_active_slo_tracker()
+        tracker = telemetry.slo
         if tracker is not None:
             snapshot["slo"] = list(tracker.iter_records())
             snapshot["slo_alerts"] = [
                 dict(r) for r in tracker.alerts.iter_records()
             ]
             snapshot["slo_exhausted"] = tracker.exhausted()
-        registry = get_active_registry()
+        registry = telemetry.registry
         if registry is not None:
             snapshot["metrics"] = registry.as_dict()
         (bundle / "snapshot.json").write_text(
             json.dumps(snapshot, indent=2), encoding="utf-8"
         )
         self.dumps.append(bundle)
-        registry = get_active_registry()
         if registry is not None:
             registry.counter("flight.postmortems_dumped").inc()
         _LOGGER.warning(kv("postmortem bundle dumped", reason=reason, path=str(bundle)))
         return bundle
-
-
-# ----------------------------------------------------------------------
-# Active-recorder scoping (mirrors use_registry / use_monitor)
-# ----------------------------------------------------------------------
-_ACTIVE_RECORDERS: List[FlightRecorder] = []
-
-
-def get_active_flight_recorder() -> Optional[FlightRecorder]:
-    """The innermost active recorder, or None when recording is off."""
-    return _ACTIVE_RECORDERS[-1] if _ACTIVE_RECORDERS else None
-
-
-class use_flight_recorder:
-    """Activate ``recorder``: request feed + fired-alert postmortems."""
-
-    def __init__(self, recorder: FlightRecorder) -> None:
-        self._recorder = recorder
-
-    def __enter__(self) -> FlightRecorder:
-        _ACTIVE_RECORDERS.append(self._recorder)
-        register_request_observer(self._recorder)
-        register_alert_observer(self._recorder.on_alert)
-        return self._recorder
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        unregister_alert_observer(self._recorder.on_alert)
-        unregister_request_observer(self._recorder)
-        for position in range(len(_ACTIVE_RECORDERS) - 1, -1, -1):
-            if _ACTIVE_RECORDERS[position] is self._recorder:
-                del _ACTIVE_RECORDERS[position]
-                break
 
 
 # ----------------------------------------------------------------------

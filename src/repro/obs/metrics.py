@@ -2,15 +2,15 @@
 
 The registry is the heart of the telemetry layer: every instrumented code
 path (trainers, the serving engine, the statistics store, named
-:class:`~repro.utils.timer.Timer` blocks) reports into whichever
-:class:`MetricsRegistry` is *active*.  Activation is scoped — registries
-nest like context managers — so a test or a CLI run can capture exactly
-the metrics produced inside its own block:
+:class:`~repro.utils.timer.Timer` blocks) reports into the registry of
+the ambient :class:`~repro.obs.context.Telemetry`.  Activation is scoped
+— :class:`~repro.obs.context.use_telemetry` blocks nest — so a test or a
+CLI run can capture exactly the metrics produced inside its own block:
 
->>> from repro.obs import MetricsRegistry, use_registry
+>>> from repro.obs import MetricsRegistry, Telemetry, current_telemetry, use_telemetry
 >>> registry = MetricsRegistry()
->>> with use_registry(registry):
-...     registry.counter("demo.requests").inc()
+>>> with use_telemetry(Telemetry(registry=registry)):
+...     current_telemetry().registry.counter("demo.requests").inc()
 >>> registry.counter("demo.requests").value
 1.0
 
@@ -21,8 +21,8 @@ Three instrument kinds are provided, following the Prometheus vocabulary:
 * :class:`Histogram` — observation distributions with fixed buckets *and*
   exact-or-sampled p50/p90/p99 quantile summaries.
 
-When no registry is active the instrumented code paths skip reporting
-entirely, so production hot loops pay nothing for unused telemetry.
+When the ambient telemetry has no registry the instrumented code paths
+skip reporting entirely, so production hot loops pay nothing for unused telemetry.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "get_active_registry",
     "prometheus_metric_name",
-    "use_registry",
 ]
 
 # Geometric latency-style buckets (seconds) covering microseconds to minutes.
@@ -389,32 +387,3 @@ class MetricsRegistry:
         else:
             with open(destination, "w", encoding="utf-8") as handle:
                 _write(handle)
-
-
-# ----------------------------------------------------------------------
-# Active-registry scoping
-# ----------------------------------------------------------------------
-_ACTIVE_REGISTRIES: List[MetricsRegistry] = []
-
-
-def get_active_registry() -> Optional[MetricsRegistry]:
-    """The innermost active registry, or None when telemetry is off."""
-    return _ACTIVE_REGISTRIES[-1] if _ACTIVE_REGISTRIES else None
-
-
-class use_registry:
-    """Context manager activating ``registry`` for the enclosed block."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    def __enter__(self) -> MetricsRegistry:
-        _ACTIVE_REGISTRIES.append(self._registry)
-        return self._registry
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        # Remove our registry specifically so mismatched exits stay safe.
-        for position in range(len(_ACTIVE_REGISTRIES) - 1, -1, -1):
-            if _ACTIVE_REGISTRIES[position] is self._registry:
-                del _ACTIVE_REGISTRIES[position]
-                break

@@ -23,9 +23,9 @@ calibration_error` when evaluated on a full window;
 
 Like registries and tracers, monitors are *ambient*: instrumented code
 (:class:`repro.serving.engine.RealTimeEngine`, the trainers' validation
-hook) reports into the innermost monitor activated with
-:class:`use_monitor`, and costs one ``None`` check when monitoring is
-off.
+hook) reports into the ``monitor`` of the ambient
+:class:`~repro.obs.context.Telemetry`, and costs one ``None`` check when
+monitoring is off.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ import numpy as np
 from repro.metrics.auc import roc_auc
 from repro.metrics.classification import calibration_error
 from repro.obs.alerts import Alert, AlertEngine, AlertRule, AlertSink, Severity
-from repro.obs.context import current_trace_context
+from repro.obs.context import current_telemetry
 from repro.obs.drift import DriftDetector
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import Gauge, MetricsRegistry, get_active_registry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.window import SlidingBlocks
 from repro.utils.buffers import grow_rows
 
@@ -54,8 +54,6 @@ __all__ = [
     "ColdStartTracker",
     "QualityMonitor",
     "default_quality_rules",
-    "get_active_monitor",
-    "use_monitor",
 ]
 
 _LOGGER = get_logger("obs.quality")
@@ -564,8 +562,8 @@ class GaugeMirror:
         self._gauges: Dict[str, Gauge] = {}
 
     def mirror(self, snapshot: Dict[str, Optional[float]]) -> None:
-        """Set one gauge per finite value into the active registry."""
-        registry = get_active_registry()
+        """Set one gauge per finite value into the ambient registry."""
+        registry = current_telemetry().registry
         if registry is None:
             return
         if registry is not self._registry:
@@ -707,7 +705,7 @@ class QualityMonitor:
         self.samples: Deque[Dict[str, object]] = deque(maxlen=1024)
 
     def _sample(self, entry_point: str, **fields: object) -> None:
-        context = current_trace_context()
+        context = current_telemetry().context
         record: Dict[str, object] = {
             "entry_point": entry_point,
             "trace_id": None if context is None else context.trace_id,
@@ -924,7 +922,7 @@ class QualityMonitor:
     def evaluate(self) -> List[Alert]:
         """Run the alert rules against a fresh snapshot.
 
-        Finite snapshot values are also mirrored into the active metrics
+        Finite snapshot values are also mirrored into the ambient metrics
         registry as gauges, so Prometheus/JSONL exports carry them.  The
         snapshot stays readable as :attr:`last_snapshot`, so a caller
         that needs it too (the SLO tracker's quality windows) does not
@@ -974,31 +972,3 @@ class QualityMonitor:
             f"{len(active)} active{' (' + ', '.join(active) + ')' if active else ''}"
         )
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Active-monitor scoping (mirrors use_registry / use_tracer)
-# ----------------------------------------------------------------------
-_ACTIVE_MONITORS: List[QualityMonitor] = []
-
-
-def get_active_monitor() -> Optional[QualityMonitor]:
-    """The innermost active monitor, or None when monitoring is off."""
-    return _ACTIVE_MONITORS[-1] if _ACTIVE_MONITORS else None
-
-
-class use_monitor:
-    """Context manager activating ``monitor`` for the enclosed block."""
-
-    def __init__(self, monitor: QualityMonitor) -> None:
-        self._monitor = monitor
-
-    def __enter__(self) -> QualityMonitor:
-        _ACTIVE_MONITORS.append(self._monitor)
-        return self._monitor
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        for position in range(len(_ACTIVE_MONITORS) - 1, -1, -1):
-            if _ACTIVE_MONITORS[position] is self._monitor:
-                del _ACTIVE_MONITORS[position]
-                break

@@ -1,12 +1,15 @@
 """One-stop telemetry for a whole run.
 
-A :class:`TelemetrySession` bundles the four telemetry surfaces — a
+A :class:`TelemetrySession` builds one
+:class:`~repro.obs.context.Telemetry` — a
 :class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.obs.tracing.Tracer`, an (optional)
-:class:`~repro.obs.autograd.AutogradProfiler` and a
-:class:`~repro.obs.callbacks.TelemetryCallback` — activates them all for
-the enclosed block, and renders a combined run report afterwards.  This
-is what the CLI's ``--telemetry <path>`` flag drives:
+:class:`~repro.obs.tracing.Tracer`, a
+:class:`~repro.obs.callbacks.TelemetryCallback` and, on request, a
+quality monitor, an SLO tracker and a flight recorder — puts it in the
+ambient slot for the enclosed block together with an (optional)
+:class:`~repro.obs.autograd.AutogradProfiler`, and renders a combined
+run report afterwards.  This is what the CLI's ``--telemetry <path>``
+flag drives:
 
 >>> from repro.obs import TelemetrySession
 >>> with TelemetrySession(profile_autograd=False) as session:
@@ -30,17 +33,14 @@ from pathlib import Path
 from typing import Dict, IO, Iterator, List, Optional, Union
 
 from repro.obs.autograd import AutogradProfiler
-from repro.obs.callbacks import (
-    TelemetryCallback,
-    register_global_callback,
-    unregister_global_callback,
-)
-from repro.obs.flight import FlightRecorder, use_flight_recorder
+from repro.obs.callbacks import TelemetryCallback
+from repro.obs.context import Telemetry, use_telemetry
+from repro.obs.flight import FlightRecorder
 from repro.obs.logging import get_logger, kv
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.quality import QualityMonitor, use_monitor
-from repro.obs.slo import SLOTracker, use_slo_tracker
-from repro.obs.tracing import Tracer, use_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.quality import QualityMonitor
+from repro.obs.slo import SLOTracker
+from repro.obs.tracing import Tracer, chrome_trace_json
 
 __all__ = ["TelemetrySession"]
 
@@ -60,8 +60,15 @@ _STANDARD_COUNTERS = (
 )
 
 
+def _attach(option, build):
+    """``None``/``False`` -> None, ``True`` -> ``build()``, else the instance."""
+    if option is None or option is False:
+        return None
+    return build() if option is True else option
+
+
 class TelemetrySession:
-    """Activates registry + tracer + profiler + trainer callback together.
+    """Builds one :class:`~repro.obs.context.Telemetry` and reports on it.
 
     Parameters
     ----------
@@ -75,9 +82,8 @@ class TelemetrySession:
     monitor:
         Attach a model-quality monitor (see
         :class:`~repro.obs.quality.QualityMonitor`): ``True`` builds one
-        with defaults, or pass a configured instance.  The monitor is
-        activated alongside the registry, so instrumented serving code
-        and trainer validation hooks report into it.
+        with defaults, or pass a configured instance.  Instrumented
+        serving code and trainer validation hooks report into it.
     trace_events:
         Record individual span/op occurrences for
         :meth:`write_chrome_trace` (spans always record; autograd op
@@ -116,24 +122,11 @@ default_serving_slos`, or pass a configured instance.  While the
             else None
         )
         self.callback = TelemetryCallback(self.registry)
-        if monitor is None or monitor is False:
-            self.monitor: Optional[QualityMonitor] = None
-        elif monitor is True:
-            self.monitor = QualityMonitor()
-        else:
-            self.monitor = monitor
-        if slo is None or slo is False:
-            self.slo: Optional[SLOTracker] = None
-        elif slo is True:
-            self.slo = SLOTracker()
-        else:
-            self.slo = slo
-        if flight is None or flight is False:
-            self.flight: Optional[FlightRecorder] = None
-        elif flight is True:
-            self.flight = FlightRecorder(postmortem_dir=postmortem_dir)
-        else:
-            self.flight = flight
+        self.monitor: Optional[QualityMonitor] = _attach(monitor, QualityMonitor)
+        self.slo: Optional[SLOTracker] = _attach(slo, SLOTracker)
+        self.flight: Optional[FlightRecorder] = _attach(
+            flight, lambda: FlightRecorder(postmortem_dir=postmortem_dir)
+        )
         if (
             self.flight is not None
             and postmortem_dir is not None
@@ -141,36 +134,28 @@ default_serving_slos`, or pass a configured instance.  While the
         ):
             self.flight.postmortem_dir = Path(postmortem_dir)
         self.label = label
+        self.telemetry = Telemetry(
+            registry=self.registry,
+            tracer=self.tracer,
+            monitor=self.monitor,
+            slo=self.slo,
+            flight=self.flight,
+            callback=self.callback,
+        )
         self._started_unix: Optional[float] = None
         self._stopped_unix: Optional[float] = None
-        self._registry_scope: Optional[use_registry] = None
-        self._tracer_scope: Optional[use_tracer] = None
-        self._monitor_scope: Optional[use_monitor] = None
-        self._slo_scope: Optional[use_slo_tracker] = None
-        self._flight_scope: Optional[use_flight_recorder] = None
+        self._scope: Optional[use_telemetry] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "TelemetrySession":
-        if self._registry_scope is not None:
+        if self._scope is not None:
             raise RuntimeError("telemetry session is already started")
         for name in _STANDARD_COUNTERS:
             self.registry.counter(name)
-        self._registry_scope = use_registry(self.registry)
-        self._registry_scope.__enter__()
-        self._tracer_scope = use_tracer(self.tracer)
-        self._tracer_scope.__enter__()
-        if self.monitor is not None:
-            self._monitor_scope = use_monitor(self.monitor)
-            self._monitor_scope.__enter__()
-        if self.slo is not None:
-            self._slo_scope = use_slo_tracker(self.slo)
-            self._slo_scope.__enter__()
-        if self.flight is not None:
-            self._flight_scope = use_flight_recorder(self.flight)
-            self._flight_scope.__enter__()
-        register_global_callback(self.callback)
+        self._scope = use_telemetry(self.telemetry)
+        self._scope.__enter__()
         if self.profiler is not None:
             self.profiler.enable()
         self._started_unix = time.time()
@@ -179,26 +164,13 @@ default_serving_slos`, or pass a configured instance.  While the
         return self
 
     def stop(self) -> None:
-        if self._registry_scope is None:
+        if self._scope is None:
             return
         self._stopped_unix = time.time()
         if self.profiler is not None:
             self.profiler.disable()
-        unregister_global_callback(self.callback)
-        if self._flight_scope is not None:
-            self._flight_scope.__exit__(None, None, None)
-            self._flight_scope = None
-        if self._slo_scope is not None:
-            self._slo_scope.__exit__(None, None, None)
-            self._slo_scope = None
-        if self._monitor_scope is not None:
-            self._monitor_scope.__exit__(None, None, None)
-            self._monitor_scope = None
-        if self._tracer_scope is not None:
-            self._tracer_scope.__exit__(None, None, None)
-            self._tracer_scope = None
-        self._registry_scope.__exit__(None, None, None)
-        self._registry_scope = None
+        self._scope.__exit__(None, None, None)
+        self._scope = None
         _LOGGER.debug(kv("telemetry session stopped", label=self.label))
 
     def __enter__(self) -> "TelemetrySession":
@@ -268,17 +240,18 @@ default_serving_slos`, or pass a configured instance.  While the
         events = self.tracer.chrome_trace_events(origin=origin)
         if self.profiler is not None:
             events.extend(self.profiler.chrome_trace_events(origin=origin))
-        payload = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "metadata": {
-                "span_events_dropped": self.tracer.dropped_events,
-                "span_max_events": self.tracer.max_events,
-            },
-        }
         destination = Path(destination)
         destination.parent.mkdir(parents=True, exist_ok=True)
-        destination.write_text(json.dumps(payload), encoding="utf-8")
+        destination.write_text(
+            chrome_trace_json(
+                events,
+                {
+                    "span_events_dropped": self.tracer.dropped_events,
+                    "span_max_events": self.tracer.max_events,
+                },
+            ),
+            encoding="utf-8",
+        )
 
     def write_jsonl(self, destination: Union[str, "IO[str]"]) -> None:
         """Dump the run report, one JSON object per line."""

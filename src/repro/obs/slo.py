@@ -22,9 +22,9 @@ succeed", "95% of quality evaluations see the streaming AUC above 0.55"
 * registry gauges (``slo.*``) mirrored on every evaluation, so the
   Prometheus and JSONL exporters carry budget state with no extra code.
 
-Latency and availability events arrive through the request-observer
-interface of :mod:`repro.obs.context` (the tracker registers itself
-while active); quality-floor events arrive from the serving engine,
+Latency and availability events arrive from :mod:`repro.obs.context`:
+every finished root request scope hands its record to the ambient
+telemetry's SLO tracker; quality-floor events arrive from the serving engine,
 which feeds each refresh's monitor snapshot via
 :meth:`SLOTracker.observe_quality`.
 """
@@ -39,10 +39,6 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.alerts import Alert, AlertEngine, AlertRule, AlertSink, Severity
-from repro.obs.context import (
-    register_request_observer,
-    unregister_request_observer,
-)
 from repro.obs.quality import GaugeMirror
 
 __all__ = [
@@ -50,8 +46,6 @@ __all__ = [
     "SLOWindow",
     "SLOTracker",
     "default_serving_slos",
-    "get_active_slo_tracker",
-    "use_slo_tracker",
 ]
 
 _KINDS = ("latency", "availability", "quality")
@@ -358,10 +352,9 @@ def default_serving_slos(
 class SLOTracker:
     """Evaluates declared SLOs against the live serving stream.
 
-    While active (:class:`use_slo_tracker`), the tracker registers as a
-    request observer — every completed root
+    While it is the ambient telemetry's ``slo``, every completed root
     :class:`~repro.obs.context.request_scope` feeds the latency and
-    availability windows — and the serving engine feeds quality SLOs
+    availability windows, and the serving engine feeds quality SLOs
     with each refresh's monitor snapshot.  Alert rules are evaluated
     every ``evaluate_every`` requests and on every explicit
     :meth:`evaluate` call (the engine does one per refresh).
@@ -448,7 +441,7 @@ class SLOTracker:
     # Event intake
     # ------------------------------------------------------------------
     def on_request(self, record) -> None:
-        """Request-observer hook: fold one completed root request in."""
+        """Request hook: fold one completed root request in."""
         self.requests_seen += 1
         duration = record.duration_seconds
         ok = record.status == "ok"
@@ -492,7 +485,7 @@ class SLOTracker:
     def evaluate(self) -> List[Alert]:
         """Run the burn-rate/budget rules against a fresh snapshot.
 
-        Finite values are mirrored into the active metrics registry as
+        Finite values are mirrored into the ambient metrics registry as
         gauges so the Prometheus/JSONL exporters carry budget state.
         """
         self._since_evaluate = 0
@@ -549,33 +542,3 @@ class SLOTracker:
             f"{' (' + ', '.join(active) + ')' if active else ''}"
         )
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Active-tracker scoping (mirrors use_registry / use_monitor)
-# ----------------------------------------------------------------------
-_ACTIVE_TRACKERS: List[SLOTracker] = []
-
-
-def get_active_slo_tracker() -> Optional[SLOTracker]:
-    """The innermost active SLO tracker, or None when SLOs are off."""
-    return _ACTIVE_TRACKERS[-1] if _ACTIVE_TRACKERS else None
-
-
-class use_slo_tracker:
-    """Activate ``tracker`` for the block: ambient lookup + request feed."""
-
-    def __init__(self, tracker: SLOTracker) -> None:
-        self._tracker = tracker
-
-    def __enter__(self) -> SLOTracker:
-        _ACTIVE_TRACKERS.append(self._tracker)
-        register_request_observer(self._tracker)
-        return self._tracker
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        unregister_request_observer(self._tracker)
-        for position in range(len(_ACTIVE_TRACKERS) - 1, -1, -1):
-            if _ACTIVE_TRACKERS[position] is self._tracker:
-                del _ACTIVE_TRACKERS[position]
-                break

@@ -13,9 +13,15 @@ dict update), so instrumented paths can stay traced in production runs.
 >>> sorted(tracer.report())
 ['refresh', 'refresh/encode']
 
-Instrumented library code uses :func:`maybe_span`, which resolves the
-currently active tracer (see :class:`use_tracer`) and degrades to a no-op
+Instrumented library code uses :func:`maybe_span`, which opens a span on
+the ambient telemetry's tracer (see
+:class:`~repro.obs.context.use_telemetry`) and degrades to a no-op
 context manager when tracing is off.
+
+Every Chrome-trace export in the package — the tracer, the autograd
+profiler, the flight recorder's bundles and the session's merged trace —
+builds its ``"X"`` events with :func:`chrome_event` and its document
+with :func:`chrome_trace_json`.
 """
 
 from __future__ import annotations
@@ -24,12 +30,56 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.context import _ACTIVE_CONTEXTS as _CONTEXT_STACK
-from repro.obs.metrics import get_active_registry
+from repro.obs.context import current_telemetry
 
-__all__ = ["SpanStats", "Span", "Tracer", "get_active_tracer", "use_tracer", "maybe_span"]
+__all__ = [
+    "SpanStats",
+    "Span",
+    "Tracer",
+    "maybe_span",
+    "chrome_event",
+    "chrome_trace_json",
+]
+
+
+def chrome_event(
+    name: str,
+    cat: str,
+    start: float,
+    elapsed: float,
+    origin: float,
+    tid: int,
+    args: Dict[str, object],
+    pid: int = 1,
+) -> Dict[str, object]:
+    """One Trace Event Format complete (``"X"``) event.
+
+    ``start`` and ``origin`` are perf_counter instants; ``origin`` maps
+    to ``ts=0``.  Times are exported in microseconds.
+    """
+    return {
+        "name": name,
+        "cat": cat,
+        "ph": "X",
+        "ts": (start - origin) * 1e6,
+        "dur": elapsed * 1e6,
+        "pid": pid,
+        "tid": tid,
+        "args": args,
+    }
+
+
+def chrome_trace_json(
+    events: List[Dict[str, object]],
+    metadata: Optional[Mapping[str, object]] = None,
+) -> str:
+    """A Chrome/Perfetto-loadable trace document as a JSON string."""
+    document: Dict[str, object] = {"traceEvents": events, "displayTimeUnit": "ms"}
+    if metadata is not None:
+        document["metadata"] = dict(metadata)
+    return json.dumps(document)
 
 
 @dataclass
@@ -110,7 +160,8 @@ class Span:
         if stats is None:
             stats = tracer._stats[path] = SpanStats()
         stats.record(elapsed, children)
-        context = _CONTEXT_STACK[-1] if _CONTEXT_STACK else None
+        telemetry = current_telemetry()
+        context = telemetry.context
         if context is not None:
             context.record_span(path, start, elapsed)
         if tracer.record_events:
@@ -124,9 +175,8 @@ class Span:
                 # Silent span loss would poison trace-based conclusions:
                 # surface the overflow as a counter and in every export.
                 tracer.dropped_events += 1
-                registry = get_active_registry()
-                if registry is not None:
-                    registry.counter("tracer.events_dropped").inc()
+                if telemetry.registry is not None:
+                    telemetry.registry.counter("tracer.events_dropped").inc()
 
 
 class Tracer:
@@ -138,7 +188,7 @@ class Tracer:
     :meth:`to_chrome_trace` exports in the Chrome Trace Event Format
     (load the file in ``chrome://tracing`` or https://ui.perfetto.dev).
     Recording stops once ``max_events`` occurrences have been kept;
-    :attr:`dropped_events` counts the overflow, the active registry's
+    :attr:`dropped_events` counts the overflow, the ambient registry's
     ``tracer.events_dropped`` counter mirrors it, and both
     :meth:`to_text` and :meth:`to_chrome_trace` report the drop count so
     a truncated timeline can never pass for a complete one.  Aggregated
@@ -223,23 +273,17 @@ class Tracer:
         if not self._events:
             return []
         if origin is None:
-            origin = min(start for _, start, _, _ in self._events)
+            origin = self.earliest_event_start()
         events: List[Dict[str, object]] = []
         for path, start, elapsed, trace_id in self._events:
             args: Dict[str, object] = {"path": path}
             if trace_id is not None:
                 args["trace_id"] = trace_id
             events.append(
-                {
-                    "name": path.rsplit("/", 1)[-1],
-                    "cat": "span",
-                    "ph": "X",
-                    "ts": (start - origin) * 1e6,
-                    "dur": elapsed * 1e6,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": args,
-                }
+                chrome_event(
+                    path.rsplit("/", 1)[-1], "span", start, elapsed, origin,
+                    tid, args, pid=pid,
+                )
             )
         return events
 
@@ -256,49 +300,18 @@ class Tracer:
         accounting — in particular ``events_dropped``, so a truncated
         timeline is detectable from the file alone.
         """
-        return json.dumps(
+        return chrome_trace_json(
+            self.chrome_trace_events(),
             {
-                "traceEvents": self.chrome_trace_events(),
-                "displayTimeUnit": "ms",
-                "metadata": {
-                    "events_recorded": len(self._events),
-                    "events_dropped": self.dropped_events,
-                    "max_events": self.max_events,
-                },
-            }
+                "events_recorded": len(self._events),
+                "events_dropped": self.dropped_events,
+                "max_events": self.max_events,
+            },
         )
 
 
-# ----------------------------------------------------------------------
-# Active-tracer scoping
-# ----------------------------------------------------------------------
-_ACTIVE_TRACERS: List[Tracer] = []
-
-
-def get_active_tracer() -> Optional[Tracer]:
-    """The innermost active tracer, or None when tracing is off."""
-    return _ACTIVE_TRACERS[-1] if _ACTIVE_TRACERS else None
-
-
-class use_tracer:
-    """Context manager activating ``tracer`` for the enclosed block."""
-
-    def __init__(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-
-    def __enter__(self) -> Tracer:
-        _ACTIVE_TRACERS.append(self._tracer)
-        return self._tracer
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        for position in range(len(_ACTIVE_TRACERS) - 1, -1, -1):
-            if _ACTIVE_TRACERS[position] is self._tracer:
-                del _ACTIVE_TRACERS[position]
-                break
-
-
 class _NullSpan:
-    """No-op stand-in used when no tracer is active."""
+    """No-op stand-in used when tracing is off."""
 
     __slots__ = ()
 
@@ -313,5 +326,6 @@ _NULL_SPAN = _NullSpan()
 
 
 def maybe_span(name: str):
-    """A span on the active tracer, or a shared no-op context manager."""
-    return Span(_ACTIVE_TRACERS[-1], name) if _ACTIVE_TRACERS else _NULL_SPAN
+    """A span on the ambient tracer, or a shared no-op context manager."""
+    tracer = current_telemetry().tracer
+    return _NULL_SPAN if tracer is None else Span(tracer, name)

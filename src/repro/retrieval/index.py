@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.tensor import get_default_dtype
-from repro.obs.metrics import get_active_registry
+from repro.obs.context import current_telemetry
 from repro.obs.tracing import maybe_span
 from repro.utils.buffers import grow_rows
 
@@ -249,7 +249,7 @@ class BruteForceIndex(MIPSIndex):
                 self._mirror[start:stop] = vectors
             self._size = stop
             self._raise_norm_bound(peak)
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("index.inserts").inc(vectors.shape[0])
         return np.arange(start, self._size, dtype=np.int64)
@@ -309,7 +309,7 @@ class BruteForceIndex(MIPSIndex):
                 self._search_one(query, k)
                 for query in np.asarray(queries, dtype=_EXACT)
             ]
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("index.searches").inc(queries.shape[0])
             registry.counter("index.rescored").inc(

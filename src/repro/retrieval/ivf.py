@@ -50,7 +50,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.clustering import kmeans
-from repro.obs.metrics import get_active_registry
+from repro.obs.context import current_telemetry
 from repro.obs.tracing import maybe_span
 from repro.retrieval.index import MIPSIndex, _top_k_desc
 from repro.utils.buffers import grow_rows
@@ -283,7 +283,7 @@ class IVFIndex(MIPSIndex):
                     )
             else:
                 self._append_to_partition(0, ids, vectors)
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("index.inserts").inc(vectors.shape[0])
         self._maybe_train()
@@ -322,7 +322,7 @@ class IVFIndex(MIPSIndex):
                 self._append_to_partition(
                     int(targets[row]), ids[row : row + 1], vectors[row : row + 1]
                 )
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("index.updates").inc(ids.size)
 
@@ -420,7 +420,7 @@ class IVFIndex(MIPSIndex):
 
     @staticmethod
     def _record_repartition(start: float) -> None:
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("index.repartitions").inc()
             registry.histogram("index.repartition_seconds").observe(
@@ -469,7 +469,7 @@ class IVFIndex(MIPSIndex):
                         centroid_affinity[row], ids[row], scores[row],
                     )
                     probed_total += probed
-        registry = get_active_registry()
+        registry = current_telemetry().registry
         if registry is not None:
             registry.counter("index.searches").inc(queries.shape[0])
             registry.counter("index.probe_partitions").inc(probed_total)

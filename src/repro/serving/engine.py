@@ -29,10 +29,7 @@ from repro.core.popularity import PopularityPredictor
 from repro.data.dataset import FeatureTable
 from repro.data.schema import GROUP_ITEM_PROFILE, GROUP_ITEM_STAT, GROUP_USER
 from repro.nn.tensor import get_default_dtype, no_grad
-from repro.obs.context import request_scope
-from repro.obs.metrics import get_active_registry
-from repro.obs.quality import get_active_monitor
-from repro.obs.slo import get_active_slo_tracker
+from repro.obs.context import current_telemetry, request_scope
 from repro.obs.tracing import maybe_span
 from repro.retrieval import MIPSIndex, exact_scores, make_index
 from repro.serving.events import KIND_CODES, Event, EventKind, event_columns
@@ -223,10 +220,10 @@ class RealTimeEngine:
             # cold slots leave generator scores — and the order — intact).
             ctx.note("events_applied", applied)
             ctx.note("dirty_slots", len(self._dirty))
-            registry = get_active_registry()
-            if registry is not None:
-                registry.counter("engine.events_ingested").inc(applied)
-            monitor = get_active_monitor()
+            telemetry = current_telemetry()
+            if telemetry.registry is not None:
+                telemetry.registry.counter("engine.events_ingested").inc(applied)
+            monitor = telemetry.monitor
             if monitor is not None:
                 # The scores these outcomes were served against are the
                 # ones from the last refresh (None before the first
@@ -424,7 +421,8 @@ class RealTimeEngine:
         ctx.note("full_refresh", bool(full))
         ctx.note("warm_items", self._n_warm)
         ctx.note("slots_rescored", int(stale.size))
-        registry = get_active_registry()
+        telemetry = current_telemetry()
+        registry = telemetry.registry
         if registry is not None:
             registry.counter("engine.refreshes").inc()
             registry.counter("engine.warm_path_items").inc(self._n_warm)
@@ -433,7 +431,7 @@ class RealTimeEngine:
             registry.histogram("engine.refresh_seconds").observe(
                 time.perf_counter() - start
             )
-        monitor = get_active_monitor()
+        monitor = telemetry.monitor
         if monitor is not None:
             monitor.attach_catalogue(n, self.config.warm_view_threshold)
             if full:
@@ -450,7 +448,7 @@ class RealTimeEngine:
                 )
             monitor.evaluate()
         self._refreshed_scores = self._scores
-        tracker = get_active_slo_tracker()
+        tracker = telemetry.slo
         if tracker is not None:
             # Quality SLOs ride the snapshot the monitor's rules just
             # read; the explicit evaluate keeps SLO alerting on the
@@ -584,10 +582,10 @@ class RealTimeEngine:
                     self._merge_into_order(slots, vectors)
             ctx.note("items_added", int(n_new))
             ctx.note("catalogue_size", len(self.catalogue))
-            registry = get_active_registry()
-            if registry is not None:
-                registry.counter("engine.items_added").inc(n_new)
-            monitor = get_active_monitor()
+            telemetry = current_telemetry()
+            if telemetry.registry is not None:
+                telemetry.registry.counter("engine.items_added").inc(n_new)
+            monitor = telemetry.monitor
             if monitor is not None:
                 monitor.attach_catalogue(
                     len(self.catalogue), self.config.warm_view_threshold
@@ -700,7 +698,7 @@ class RealTimeEngine:
             # vector; bias + sigmoid are monotone so ranking by raw inner
             # product is the ranking by probability.
             top, _ = self._index.search(head.weight.data * user_vector, k)
-            registry = get_active_registry()
+            registry = current_telemetry().registry
             if registry is not None:
                 registry.counter("engine.recommend_requests").inc()
                 if hit:

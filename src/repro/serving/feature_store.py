@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import get_active_registry
+from repro.obs.context import current_telemetry
 from repro.obs.tracing import maybe_span
 from repro.serving.events import (
     KIND_CODES,
@@ -171,7 +171,7 @@ class ItemStatisticsStore:
                         f"{low if low < -1 else high}"
                     )
                 self._apply(kinds, items, users)
-            registry = get_active_registry()
+            registry = current_telemetry().registry
             if registry is not None and applied:
                 elapsed = time.perf_counter() - start
                 registry.counter("store.events_ingested").inc(applied)

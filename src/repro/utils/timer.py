@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.obs.metrics import get_active_registry
+from repro.obs.context import current_telemetry
 
 __all__ = ["Timer", "time_callable"]
 
@@ -16,8 +16,8 @@ class Timer:
     The timer is safely re-enterable — each ``with`` block overwrites
     :attr:`elapsed` — and exiting a timer that was never entered is a
     no-op rather than an error.  A *named* timer additionally reports
-    each measurement into the active metrics registry (when one is
-    active) as the histogram ``timer.<name>``.
+    each measurement into the ambient telemetry's metrics registry (when
+    it has one) as the histogram ``timer.<name>``.
 
     Example
     -------
@@ -43,7 +43,7 @@ class Timer:
         self.elapsed = time.perf_counter() - self._start
         self._start = None
         if self.name:
-            registry = get_active_registry()
+            registry = current_telemetry().registry
             if registry is not None:
                 registry.histogram(f"timer.{self.name}").observe(self.elapsed)
 

@@ -161,6 +161,46 @@ def test_eff003_report_names_entry_and_path(tmp_path):
     assert "serving.cache.remember" in report  # the example path
 
 
+def test_eff003_sees_ambient_writes_through_the_telemetry_slot(tmp_path):
+    analysis = _analyze(tmp_path, {
+        "repro/obs/context.py": """
+            class Telemetry:
+                registry = None
+
+            _ACTIVE_TELEMETRY = Telemetry()
+
+            def current_telemetry():
+                return _ACTIVE_TELEMETRY
+        """,
+        "repro/serving/engine.py": """
+            from repro.obs.context import current_telemetry
+
+            class RealTimeEngine:
+                def ingest(self, events):
+                    telemetry = current_telemetry()
+                    telemetry.registry.counter("engine.events").inc()
+                    monitor = telemetry.monitor
+                    monitor.observe(events)
+
+                def refresh(self):
+                    registry = current_telemetry().registry
+                    registry.histogram("engine.refresh_seconds")
+                    current_telemetry().slo.evaluate()
+        """,
+    })
+    found = {
+        (d.detail("channel"), d.detail("entries"))
+        for d in run_rules(analysis)
+        if d.code == "EFF003"
+    }
+    assert found == {
+        ("registry.counter", "ingest"),
+        ("monitor.observe", "ingest"),
+        ("registry.histogram", "refresh"),
+        ("slo.evaluate", "refresh"),
+    }
+
+
 def test_eff003_passes_when_state_is_per_engine(tmp_path):
     codes = _rule_codes(tmp_path, {
         "repro/serving/engine.py": """

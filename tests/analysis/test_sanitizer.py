@@ -8,7 +8,7 @@ from repro.nn import Tensor
 from repro.nn.layers.embedding import FeatureEmbeddings
 from repro.nn.layers.linear import Linear
 from repro.nn.optim import Adam
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, Telemetry, use_telemetry
 
 
 def test_stale_saved_buffer_fires_on_assign_between_forward_and_backward():
@@ -135,7 +135,7 @@ def test_only_one_sanitizer_at_a_time():
 def test_events_increment_obs_counters():
     registry = MetricsRegistry()
     x = Tensor(np.ones(3), requires_grad=True)
-    with use_registry(registry):
+    with use_telemetry(Telemetry(registry=registry)):
         with GradSanitizer():
             y = (x * x).sum()
             x.assign_(np.zeros(3))

@@ -10,7 +10,7 @@ from repro.core import (
     TwoTowerModel,
     recall_against_corpus,
 )
-from repro.obs import TrainerCallback, Tracer, use_tracer
+from repro.obs import Telemetry, TrainerCallback, Tracer, use_telemetry
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +239,7 @@ class TestRetrievalTrainer:
         self, tiny_tmall_world, tiny_tower_config
     ):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_telemetry(Telemetry(tracer=tracer)):
             RetrievalTrainer(epochs=2, batch_size=256).fit(
                 self._model(tiny_tmall_world, tiny_tower_config),
                 tiny_tmall_world.interactions,

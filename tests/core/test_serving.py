@@ -7,7 +7,7 @@ from repro.core import ATNN, TowerConfig
 from repro.nn import default_dtype
 from repro.nn.optim import Adam
 from repro.nn.tensor import no_grad
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, Telemetry, use_telemetry
 from repro.serving import (
     EngineConfig,
     Event,
@@ -313,7 +313,7 @@ class TestUserVectorCache:
     ):
         users = rng.integers(0, 12, size=60)
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             for user in users:
                 self._expect(
                     cached_engine, _user_row(tiny_tmall_world, user), served
@@ -457,10 +457,8 @@ class TestIncrementalRefresh:
     def test_incremental_rescored_only_dirty_warm_slots(
         self, engine, tiny_tmall_world, rng
     ):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             engine.refresh()
             events = generate_event_stream(
                 tiny_tmall_world, np.array([3]), n_events=200, rng=rng

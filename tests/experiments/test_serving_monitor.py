@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.trainer import ATNNTrainer
 from repro.experiments import build_tmall_artifacts, run_monitored_serving
-from repro.obs import QualityMonitor, TelemetrySession, use_monitor
+from repro.obs import QualityMonitor, TelemetrySession
 
 
 @pytest.fixture(scope="module")

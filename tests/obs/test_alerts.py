@@ -15,7 +15,8 @@ from repro.obs import (
     MetricsRegistry,
     QualityMonitor,
     Severity,
-    use_registry,
+    Telemetry,
+    use_telemetry,
 )
 from repro.serving import Event, EventKind
 
@@ -102,7 +103,7 @@ class TestAlertEngine:
         engine = _engine(
             AlertRule("crit", "m", 1.0, severity=Severity.CRITICAL)
         )
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             engine.evaluate({"m": 5.0})
         assert registry.counter("alerts.fired").value == 1.0
         assert registry.counter("alerts.fired.critical").value == 1.0

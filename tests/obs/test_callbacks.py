@@ -9,11 +9,10 @@ from repro.obs import (
     BatchStats,
     MetricsRegistry,
     TelemetryCallback,
+    Telemetry,
     TrainerCallback,
-    global_callbacks,
-    register_global_callback,
-    unregister_global_callback,
-    use_registry,
+    current_telemetry,
+    use_telemetry,
 )
 
 
@@ -99,9 +98,8 @@ class TestTrainerIntegration:
         self, tiny_tmall_world, tiny_tower_config, tiny_train
     ):
         recorder = _Recorder()
-        register_global_callback(recorder)
-        try:
-            assert recorder in global_callbacks()
+        with use_telemetry(Telemetry(callback=recorder)):
+            assert current_telemetry().callback is recorder
             model = TwoTowerModel(
                 tiny_tmall_world.schema, tiny_tower_config,
                 rng=np.random.default_rng(1),
@@ -109,13 +107,11 @@ class TestTrainerIntegration:
             TwoTowerTrainer(epochs=1, batch_size=512, lr=1e-3).fit(
                 model, tiny_train
             )
-        finally:
-            unregister_global_callback(recorder)
         assert recorder.events[0] == "begin" and recorder.events[-1] == "end"
-        assert recorder not in global_callbacks()
+        assert current_telemetry().callback is None
 
-    def test_unregister_absent_callback_is_noop(self):
-        unregister_global_callback(_Recorder())
+    def test_no_ambient_callback_outside_telemetry(self):
+        assert current_telemetry().callback is None
 
 
 class TestTelemetryCallback:
@@ -134,7 +130,7 @@ class TestTelemetryCallback:
     def test_resolves_active_registry_when_unbound(self):
         registry = MetricsRegistry()
         callback = TelemetryCallback()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             callback.on_batch_end(_batch(1, "encoder", {"loss": 0.5}))
         assert registry.counter("trainer.batches").value == 1
 

@@ -1,16 +1,27 @@
-"""Request-scoped trace context: identity, nesting, observers."""
+"""The telemetry slot and request-scoped trace context: identity,
+nesting, request and alert hooks."""
+
+import json
 
 import pytest
 
-from repro.obs import Tracer, use_tracer
+from repro.obs import (
+    AlertEngine,
+    AlertRule,
+    FlightRecorder,
+    MetricsRegistry,
+    SLO,
+    SLOTracker,
+    Tracer,
+)
 from repro.obs.context import (
     MAX_SPANS_PER_REQUEST,
     RequestRecord,
-    current_trace_context,
+    Telemetry,
+    current_telemetry,
     new_trace_id,
-    register_request_observer,
     request_scope,
-    unregister_request_observer,
+    use_telemetry,
 )
 
 
@@ -25,9 +36,111 @@ class _Collector:
 @pytest.fixture
 def collector():
     observer = _Collector()
-    register_request_observer(observer)
-    yield observer
-    unregister_request_observer(observer)
+    with use_telemetry(Telemetry(flight=observer)):
+        yield observer
+
+
+class TestTelemetrySlot:
+    def test_empty_outside_any_use(self):
+        telemetry = current_telemetry()
+        assert telemetry.registry is None and telemetry.tracer is None
+        assert telemetry.monitor is None and telemetry.slo is None
+        assert telemetry.flight is None and telemetry.callback is None
+
+    def test_nested_use_restores_outer(self):
+        outer_registry, inner_registry = MetricsRegistry(), MetricsRegistry()
+        outer = Telemetry(registry=outer_registry)
+        inner = Telemetry(registry=inner_registry)
+        empty = current_telemetry()
+        with use_telemetry(outer) as entered:
+            assert entered is outer and current_telemetry() is outer
+            with use_telemetry(inner):
+                assert current_telemetry().registry is inner_registry
+            assert current_telemetry() is outer
+        assert current_telemetry() is empty
+
+    def test_nested_use_restores_outer_after_exception(self):
+        outer, inner = Telemetry(), Telemetry()
+        empty = current_telemetry()
+        with use_telemetry(outer):
+            with pytest.raises(KeyError):
+                with use_telemetry(inner):
+                    raise KeyError("boom")
+            assert current_telemetry() is outer
+        assert current_telemetry() is empty
+
+    def test_request_context_restored_per_telemetry(self):
+        telemetry = Telemetry()
+        with use_telemetry(telemetry), request_scope("outer") as root:
+            assert telemetry.context is root
+            with request_scope("inner") as child:
+                assert current_telemetry().context is child
+            assert current_telemetry().context is root
+        assert telemetry.context is None
+
+
+class _Raising:
+    def __init__(self):
+        self.calls = 0
+
+    def on_request(self, record):
+        self.calls += 1
+        raise RuntimeError("hook failed")
+
+
+class TestRequestHooks:
+    def test_raising_hook_propagates_and_slot_recovers(self):
+        failing, after = _Raising(), _Collector()
+        with use_telemetry(Telemetry(slo=failing, flight=after)):
+            with pytest.raises(RuntimeError, match="hook failed"):
+                with request_scope("ingest"):
+                    pass
+            # The raising SLO hook runs first, so the recorder never saw
+            # this request; the slot is already restored.
+            assert after.records == []
+            assert current_telemetry().context is None
+            with pytest.raises(RuntimeError):
+                with request_scope("ingest"):
+                    pass
+        assert failing.calls == 2
+
+    def test_slo_hook_runs_before_flight(self, tmp_path):
+        # The flight recorder dumps on the failing request; its snapshot
+        # must already count that request in the SLO windows.
+        tracker = SLOTracker(
+            [SLO.availability("avail", min_events=1)], evaluate_every=0
+        )
+        recorder = FlightRecorder(postmortem_dir=tmp_path, dump_debounce=0)
+        with use_telemetry(Telemetry(slo=tracker, flight=recorder)):
+            with request_scope("ingest"):
+                pass
+            with pytest.raises(ValueError):
+                with request_scope("ingest"):
+                    raise ValueError("broken")
+        assert len(recorder.dumps) == 1
+        snapshot = json.loads(
+            (recorder.dumps[0] / "snapshot.json").read_text(encoding="utf-8")
+        )
+        (record,) = snapshot["slo"]
+        assert record["events"] == 2.0
+        assert record["bad_events"] == 1.0
+
+    def test_alert_inside_request_dumps_bundle(self, tmp_path):
+        engine = AlertEngine(
+            [AlertRule("hot", "load", threshold=1.0, direction="above")],
+            sinks=(),
+        )
+        recorder = FlightRecorder(postmortem_dir=tmp_path)
+        with use_telemetry(Telemetry(flight=recorder)):
+            with request_scope("refresh") as ctx:
+                (alert,) = engine.evaluate({"load": 2.0})
+        assert alert.trace_id == ctx.trace_id
+        assert len(recorder.dumps) == 1
+        meta = json.loads(
+            (recorder.dumps[0] / "META.json").read_text(encoding="utf-8")
+        )
+        assert meta["reason"] == "alert-hot"
+        assert meta["alert"]["trace_id"] == ctx.trace_id
 
 
 class TestTraceIds:
@@ -38,16 +151,16 @@ class TestTraceIds:
         assert len(prefixes) == 1  # one process prefix
 
     def test_no_active_context_outside_scopes(self):
-        assert current_trace_context() is None
+        assert current_telemetry().context is None
 
 
 class TestRequestScope:
     def test_root_scope_sets_and_clears_context(self):
         with request_scope("ingest") as ctx:
-            assert current_trace_context() is ctx
+            assert current_telemetry().context is ctx
             assert ctx.kind == "ingest"
             assert ctx.parent_id is None
-        assert current_trace_context() is None
+        assert current_telemetry().context is None
 
     def test_nested_scope_shares_trace_and_storage(self):
         with request_scope("top_k") as root:
@@ -69,7 +182,7 @@ class TestRequestScope:
         with pytest.raises(RuntimeError):
             with request_scope("boom"):
                 raise RuntimeError("nope")
-        assert current_trace_context() is None
+        assert current_telemetry().context is None
 
 
 class TestRequestObservers:
@@ -101,7 +214,7 @@ class TestRequestObservers:
 
     def test_tracer_spans_attach_to_request(self, collector):
         tracer = Tracer()
-        with use_tracer(tracer), request_scope("req"):
+        with request_scope("req"):
             with tracer.span("work"):
                 with tracer.span("sub"):
                     pass

@@ -9,19 +9,17 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, Telemetry, current_telemetry, use_telemetry
 from repro.obs.alerts import Alert
 from repro.obs.context import RequestRecord, request_scope
 from repro.obs.flight import (
     FlightRecorder,
-    get_active_flight_recorder,
     load_bundle,
     main,
     render_bundle,
-    use_flight_recorder,
 )
-from repro.obs.quality import QualityMonitor, use_monitor
-from repro.obs.slo import SLO, SLOTracker, use_slo_tracker
+from repro.obs.quality import QualityMonitor
+from repro.obs.slo import SLO, SLOTracker
 
 
 def _record(trace_id, duration=0.01, status="ok", started_perf=None, spans=()):
@@ -75,7 +73,7 @@ class TestRingAndExemplars:
     def test_registry_counters(self):
         registry = MetricsRegistry()
         recorder = FlightRecorder(capacity=4, auto_dump=False)
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             recorder.on_request(_record("ok"))
             recorder.on_request(_record("bad", status="error"))
         assert registry.counter("flight.requests_recorded").value == 2
@@ -128,8 +126,7 @@ class TestPostmortemBundles:
         tracker = SLOTracker(
             [SLO.availability("a", min_events=1)], evaluate_every=0
         )
-        with use_registry(registry), use_monitor(monitor), \
-                use_slo_tracker(tracker):
+        with use_telemetry(Telemetry(registry=registry, monitor=monitor, slo=tracker)):
             registry.counter("engine.refreshes").inc()
             bundle = recorder.dump_postmortem("manual")
         snapshot = json.loads((bundle / "snapshot.json").read_text())
@@ -244,14 +241,14 @@ class TestActiveRecorder:
                               min_events=5)],
             evaluate_every=1,
         )
-        assert get_active_flight_recorder() is None
-        with use_flight_recorder(recorder), use_slo_tracker(tracker):
-            assert get_active_flight_recorder() is recorder
+        assert current_telemetry().flight is None
+        with use_telemetry(Telemetry(flight=recorder, slo=tracker)):
+            assert current_telemetry().flight is recorder
             for _ in range(10):
                 with pytest.raises(RuntimeError):
                     with request_scope("ingest"):
                         raise RuntimeError("down")
-        assert get_active_flight_recorder() is None
+        assert current_telemetry().flight is None
         assert recorder.requests_recorded == 10
         assert recorder.requests_failed == 10
         # Both the error requests and the availability burn alert dumped.

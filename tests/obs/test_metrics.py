@@ -12,8 +12,9 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_active_registry,
-    use_registry,
+    Telemetry,
+    current_telemetry,
+    use_telemetry,
 )
 
 
@@ -134,13 +135,13 @@ class TestRegistry:
 
 class TestActiveRegistry:
     def test_inactive_by_default(self):
-        assert get_active_registry() is None
+        assert current_telemetry().registry is None
 
     def test_scoped_activation_nests(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
-        with use_registry(outer):
-            assert get_active_registry() is outer
-            with use_registry(inner):
-                assert get_active_registry() is inner
-            assert get_active_registry() is outer
-        assert get_active_registry() is None
+        with use_telemetry(Telemetry(registry=outer)):
+            assert current_telemetry().registry is outer
+            with use_telemetry(Telemetry(registry=inner)):
+                assert current_telemetry().registry is inner
+            assert current_telemetry().registry is outer
+        assert current_telemetry().registry is None

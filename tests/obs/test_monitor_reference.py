@@ -15,7 +15,7 @@ one above the window, arrivals between refreshes, incremental and full
 refreshes, a weight change, and refreshes the monitor does not see.
 """
 
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,11 +28,8 @@ from repro.obs import (
     SLOTracker,
     default_quality_rules,
     default_serving_slos,
-    register_request_observer,
-    unregister_request_observer,
-    use_monitor,
-    use_registry,
-    use_slo_tracker,
+    Telemetry,
+    use_telemetry,
 )
 from repro.serving import EngineConfig, Event, EventKind, RealTimeEngine
 from tests.obs import monitor_reference as reference
@@ -159,14 +156,12 @@ def test_replay_matches_the_reference_calls(name, tiny_tmall_world, model):
 
     @contextmanager
     def armed():
-        with ExitStack() as stack:
-            stack.enter_context(use_registry(registry))
-            stack.enter_context(use_monitor(monitor))
-            stack.enter_context(use_slo_tracker(tracker))
-            # The twin tracker sees the same completed requests, held
-            # back so that it evaluates where the live one did.
-            register_request_observer(requests)
-            stack.callback(unregister_request_observer, requests)
+        # The twin tracker sees the same completed requests (the flight
+        # hook runs after the live tracker's), held back so that it
+        # evaluates where the live one did.
+        with use_telemetry(Telemetry(
+            registry=registry, monitor=monitor, slo=tracker, flight=requests,
+        )):
             yield
 
     def twin_refresh():
@@ -176,7 +171,7 @@ def test_replay_matches_the_reference_calls(name, tiny_tmall_world, model):
         assert refresh_request.kind == "refresh"
         for record in earlier:
             twin_tracker.on_request(record)
-        with use_registry(twin_registry):
+        with use_telemetry(Telemetry(registry=twin_registry)):
             reference.refresh(
                 twin_monitor, twin_tracker, twin_registry,
                 len(engine.catalogue), WARM, engine.last_scores,
@@ -204,7 +199,7 @@ def test_replay_matches_the_reference_calls(name, tiny_tmall_world, model):
             served = engine.last_scores
             with armed():
                 engine.ingest(events)
-            with use_registry(twin_registry):
+            with use_telemetry(Telemetry(registry=twin_registry)):
                 twin_monitor.attach_catalogue(len(engine.catalogue), WARM)
                 twin_monitor.observe_serving_batch(events, scores=served)
             if tick in ARRIVAL_TICKS:
@@ -232,13 +227,16 @@ def test_replay_matches_the_reference_calls(name, tiny_tmall_world, model):
 
 
 class _Requests:
-    """A request observer that keeps the completed requests."""
+    """A flight-recorder stand-in that keeps the completed requests."""
 
     def __init__(self):
         self.records = []
 
     def on_request(self, record):
         self.records.append(record)
+
+    def on_alert(self, alert):
+        pass
 
 
 def _recording(method, calls):

@@ -17,9 +17,9 @@ from repro.obs import (
     StreamingAUC,
     WindowedECE,
     default_quality_rules,
-    get_active_monitor,
-    use_monitor,
-    use_registry,
+    Telemetry,
+    current_telemetry,
+    use_telemetry,
 )
 from repro.serving.events import Event, EventKind, join_click_outcomes
 
@@ -388,7 +388,7 @@ class TestQualityMonitor:
             ],
             scores=np.array([0.9, 0.1, 0.5, 0.5]),
         )
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             transitions = monitor.evaluate()
         assert [t.rule for t in transitions] == ["low-auc"]
         assert registry.gauge("quality.streaming_auc").value == pytest.approx(1.0)
@@ -509,15 +509,15 @@ class TestOneSnapshotPerRefresh:
         monitor = QualityMonitor(sinks=())
         monitor.attach_catalogue(4)
         first, second = MetricsRegistry(), MetricsRegistry()
-        with use_registry(first):
+        with use_telemetry(Telemetry(registry=first)):
             monitor.evaluate()
         monitor.impressions_seen = 7
-        with use_registry(second):
+        with use_telemetry(Telemetry(registry=second)):
             monitor.evaluate()
         assert first.gauge("quality.impressions").value == 0.0
         assert second.gauge("quality.impressions").value == 7.0
         monitor.impressions_seen = 9
-        with use_registry(first):
+        with use_telemetry(Telemetry(registry=first)):
             monitor.evaluate()
         assert first.gauge("quality.impressions").value == 9.0
 
@@ -556,12 +556,12 @@ class TestJoinOutcomeColumns:
 
 class TestUseMonitor:
     def test_scoped_activation(self):
-        assert get_active_monitor() is None
+        assert current_telemetry().monitor is None
         monitor = QualityMonitor()
-        with use_monitor(monitor):
-            assert get_active_monitor() is monitor
+        with use_telemetry(Telemetry(monitor=monitor)):
+            assert current_telemetry().monitor is monitor
             inner = QualityMonitor()
-            with use_monitor(inner):
-                assert get_active_monitor() is inner
-            assert get_active_monitor() is monitor
-        assert get_active_monitor() is None
+            with use_telemetry(Telemetry(monitor=inner)):
+                assert current_telemetry().monitor is inner
+            assert current_telemetry().monitor is monitor
+        assert current_telemetry().monitor is None

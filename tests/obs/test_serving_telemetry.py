@@ -7,10 +7,9 @@ from repro.core import ATNN, TowerConfig
 from repro.obs import (
     MetricsRegistry,
     QualityMonitor,
+    Telemetry,
     Tracer,
-    use_monitor,
-    use_registry,
-    use_tracer,
+    use_telemetry,
 )
 from repro.serving import (
     EngineConfig,
@@ -55,7 +54,7 @@ class TestEngineCounters:
         """
         registry = MetricsRegistry()
         n = len(engine.catalogue)
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             engine.refresh()  # everything cold
             engine.ingest(_views(0, 5) + _views(1, 4))
             engine.refresh()  # slot 0 warm, rest cold
@@ -68,7 +67,7 @@ class TestEngineCounters:
 
     def test_lazy_refresh_counts_once(self, engine):
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             engine.scores()
             engine.scores()  # cached: no second refresh
         assert registry.counter("engine.refreshes").value == 1
@@ -79,14 +78,14 @@ class TestEngineCounters:
             for name in tiny_tmall_world.schema.all_column_names("user")
         }
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             engine.recommend_for_user(user_row, k=3)
         assert registry.counter("engine.recommend_requests").value == 1
         assert registry.histogram("engine.recommend_seconds").count == 1
 
     def test_refresh_span_recorded(self, engine):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_telemetry(Telemetry(tracer=tracer)):
             engine.refresh()
         assert tracer.stats("engine.refresh").calls == 1
 
@@ -107,7 +106,7 @@ class TestColdStartTelemetry:
             {name: tiny_tmall_world.items[name][:3] for name in names}
         )
         monitor = QualityMonitor(warm_view_threshold=5)
-        with use_monitor(monitor):
+        with use_telemetry(Telemetry(monitor=monitor)):
             engine.refresh()
             engine.ingest(
                 [Event(EventKind.VIEW, 0, 1, 3.0), Event(EventKind.VIEW, 2, 1, 8.0)]
@@ -129,7 +128,7 @@ class TestStoreThroughput:
     def test_ingest_metrics(self):
         registry = MetricsRegistry()
         store = ItemStatisticsStore(4)
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             store.ingest(_views(2, 7))
         assert registry.counter("store.events_ingested").value == 7
         assert registry.histogram("store.ingest_seconds").count == 1
@@ -137,6 +136,6 @@ class TestStoreThroughput:
 
     def test_empty_batch_records_nothing(self):
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             ItemStatisticsStore(2).ingest([])
         assert "store.events_ingested" not in registry

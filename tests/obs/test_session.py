@@ -9,9 +9,7 @@ import pytest
 from repro.nn.tensor import Tensor
 from repro.obs import (
     TelemetrySession,
-    get_active_registry,
-    get_active_tracer,
-    global_callbacks,
+    current_telemetry,
     maybe_span,
 )
 
@@ -25,14 +23,15 @@ def _records(session):
 class TestLifecycle:
     def test_activates_and_deactivates_all_surfaces(self):
         session = TelemetrySession(profile_autograd=False, label="t")
-        assert get_active_registry() is None
+        outside = current_telemetry()
+        assert outside.registry is None
         with session:
-            assert get_active_registry() is session.registry
-            assert get_active_tracer() is session.tracer
-            assert session.callback in global_callbacks()
-        assert get_active_registry() is None
-        assert get_active_tracer() is None
-        assert session.callback not in global_callbacks()
+            telemetry = current_telemetry()
+            assert telemetry is session.telemetry
+            assert telemetry.registry is session.registry
+            assert telemetry.tracer is session.tracer
+            assert telemetry.callback is session.callback
+        assert current_telemetry() is outside
 
     def test_double_start_rejected(self):
         with TelemetrySession(profile_autograd=False) as session:

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, Telemetry, current_telemetry, use_telemetry
 from repro.obs.context import RequestRecord, request_scope
 from repro.obs.slo import (
     SLO,
     SLOTracker,
     SLOWindow,
     default_serving_slos,
-    get_active_slo_tracker,
-    use_slo_tracker,
 )
 
 
@@ -199,7 +197,7 @@ class TestSLOTracker:
     def test_evaluate_mirrors_gauges_to_registry(self):
         registry = MetricsRegistry()
         tracker = self._tracker(evaluate_every=0)
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             for _ in range(10):
                 tracker.on_request(_request(duration=0.01))
             tracker.evaluate()
@@ -238,12 +236,12 @@ class TestActiveTracker:
         tracker = SLOTracker(
             [SLO.availability("a", min_events=1)], evaluate_every=0
         )
-        assert get_active_slo_tracker() is None
-        with use_slo_tracker(tracker):
-            assert get_active_slo_tracker() is tracker
+        assert current_telemetry().slo is None
+        with use_telemetry(Telemetry(slo=tracker)):
+            assert current_telemetry().slo is tracker
             with request_scope("ingest"):
                 pass
-        assert get_active_slo_tracker() is None
+        assert current_telemetry().slo is None
         assert tracker.requests_seen == 1
         # Requests after deactivation are not delivered.
         with request_scope("ingest"):

@@ -21,17 +21,10 @@ from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     QualityMonitor,
+    Telemetry,
     TelemetrySession,
     Tracer,
-    use_flight_recorder,
-    use_monitor,
-    use_registry,
-    use_slo_tracker,
-    use_tracer,
-)
-from repro.obs.context import (
-    register_request_observer,
-    unregister_request_observer,
+    use_telemetry,
 )
 from repro.obs.flight import load_bundle
 from repro.obs.slo import SLO, SLOTracker
@@ -80,7 +73,6 @@ class TestTracePropagation:
         hair-trigger latency SLO fires during the second refresh, so the
         alert must carry that refresh's trace id too.
         """
-        collector = _Collector()
         monitor = QualityMonitor()
         tracker = SLOTracker(
             [SLO.latency("lat", 1e-9, objective=0.5, window=8,
@@ -92,20 +84,17 @@ class TestTracePropagation:
             profile_autograd=False, monitor=monitor, slo=tracker,
             flight=recorder,
         )
-        register_request_observer(collector)
-        try:
-            with session:
-                engine.refresh()
-                engine.ingest(_views(0, 6) + _views(1, 3))
-                engine.refresh()  # dirty-slot path: slot 0 is warm+dirty
-                engine.top_k(3)
-        finally:
-            unregister_request_observer(collector)
+        with session:
+            engine.refresh()
+            engine.ingest(_views(0, 6) + _views(1, 3))
+            engine.refresh()  # dirty-slot path: slot 0 is warm+dirty
+            engine.top_k(3)
 
-        kinds = [record.kind for record in collector.records]
+        completed = recorder.recent()
+        kinds = [record.kind for record in completed]
         assert kinds == ["refresh", "ingest", "refresh", "top_k"]
-        refresh1, ingest, refresh2, top_k = collector.records
-        assert len({r.trace_id for r in collector.records}) == 4
+        refresh1, ingest, refresh2, top_k = completed
+        assert len({r.trace_id for r in completed}) == 4
 
         # Every monitor sample names the request that produced it.
         samples = list(monitor.samples)
@@ -128,7 +117,7 @@ class TestTracePropagation:
         records = [
             json.loads(line) for line in buffer.getvalue().splitlines()
         ]
-        trace_ids = {r.trace_id for r in collector.records}
+        trace_ids = {r.trace_id for r in completed}
         monitor_samples = [r for r in records if r["type"] == "monitor_sample"]
         request_records = [r for r in records if r["type"] == "request"]
         alert_records = [
@@ -149,13 +138,10 @@ class TestTracePropagation:
 
     def test_engine_decisions_recorded_per_request(self, engine):
         collector = _Collector()
-        register_request_observer(collector)
-        try:
+        with use_telemetry(Telemetry(flight=collector)):
             engine.ingest(_views(0, 4))
             engine.top_k(2)
             engine.top_k(2)
-        finally:
-            unregister_request_observer(collector)
         # top_k's lazy refresh nests as a child scope, so it folds into
         # the first top_k record instead of emitting its own.
         ingest, top_k1, top_k2 = collector.records
@@ -169,7 +155,7 @@ class TestTracePropagation:
 
     def test_store_spans_nest_under_request(self, engine):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_telemetry(Telemetry(tracer=tracer)):
             engine.ingest(_views(0, 3))
             engine.refresh()
         report = tracer.report()
@@ -217,9 +203,7 @@ class TestLatencySpikeAcceptance:
             return original_ingest(events, columns=columns)
 
         n = len(engine.catalogue)
-        with use_registry(registry), use_tracer(tracer), \
-                use_monitor(monitor), use_slo_tracker(tracker), \
-                use_flight_recorder(recorder):
+        with use_telemetry(Telemetry(registry=registry, tracer=tracer, monitor=monitor, slo=tracker, flight=recorder)):
             for batch in range(12):
                 if batch == 4:
                     slowest = recorder.slowest_requests(1)[0]

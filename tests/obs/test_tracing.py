@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.obs import Tracer, get_active_tracer, maybe_span, use_tracer
+from repro.obs import Telemetry, Tracer, current_telemetry, maybe_span, use_telemetry
 
 
 class TestTracer:
@@ -63,13 +63,13 @@ class TestTracer:
 
 class TestActiveTracer:
     def test_maybe_span_noop_without_tracer(self):
-        assert get_active_tracer() is None
+        assert current_telemetry().tracer is None
         with maybe_span("anything"):
             pass  # must not raise and must not record anywhere
 
     def test_maybe_span_records_on_active_tracer(self):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_telemetry(Telemetry(tracer=tracer)):
             with maybe_span("tick"):
                 pass
         assert tracer.stats("tick").calls == 1
@@ -151,11 +151,11 @@ class TestDroppedEvents:
         assert payload["metadata"]["max_events"] == 1
 
     def test_registry_counter_mirrors_drops(self):
-        from repro.obs import MetricsRegistry, use_registry
+        from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
         tracer = Tracer(max_events=1)
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             for _ in range(4):
                 with tracer.span("tick"):
                     pass

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.tracing import Tracer, use_tracer
+from repro.obs import MetricsRegistry, Telemetry, Tracer, use_telemetry
 from repro.retrieval import BruteForceIndex, IVFIndex, recall_at_k
 
 
@@ -192,7 +191,7 @@ class TestRepartition:
         assert ivf.trained and ivf.repartitions == 0
         corner = 0.01 * rng.normal(size=(400, 2)) + 50.0
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             ivf.add(corner)
         assert ivf.repartitions >= 1
         assert registry.counter("index.repartitions").value == ivf.repartitions
@@ -272,7 +271,7 @@ class TestRepartition:
         ivf.rebuild(rng.normal(size=(200, 2)))
         registry = MetricsRegistry()
         tracer = Tracer()
-        with use_registry(registry), use_tracer(tracer):
+        with use_telemetry(Telemetry(registry=registry, tracer=tracer)):
             ivf.add(0.01 * rng.normal(size=(400, 2)) + 50.0)
         splits = ivf.repartitions
         assert splits >= 1
@@ -323,7 +322,7 @@ class TestObservability:
         registry = MetricsRegistry()
         ivf = IVFIndex(8, nlist=10, nprobe=3, seed=0)
         ivf.rebuild(data)
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             ivf.search(rng.normal(size=(4, 8)), 5)
             ivf.add(rng.normal(size=(7, 8)))
         assert registry.counter("index.searches").value == 4

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.tensor import default_dtype
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, Telemetry, use_telemetry
 from repro.retrieval import (
     BruteForceIndex,
     IVFIndex,
@@ -235,7 +235,7 @@ class TestExactSearch:
         index = BruteForceIndex(8, dtype=np.float64)
         index.add(rng.normal(size=(500, 8)))
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             index.search(rng.normal(size=(3, 8)), 10)
         assert registry.counter("index.searches").value == 3
         rescored = registry.counter("index.rescored").value

@@ -2,7 +2,6 @@
 growable buffers."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -78,39 +77,56 @@ class TestTabulate:
             format_table(["a", "b"], [[1]])
 
 
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Drive ``repro.utils.timer``'s clock: each read returns the next reading."""
+    import repro.utils.timer as timer_module
+
+    readings = []
+    monkeypatch.setattr(
+        timer_module.time, "perf_counter", lambda: readings.pop(0)
+    )
+    return readings
+
+
 class TestTimer:
-    def test_context_manager_measures(self):
+    def test_context_manager_measures(self, fake_clock):
+        fake_clock += [10.0, 10.25]
         with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.01
+            pass
+        assert timer.elapsed == 0.25
 
     def test_exit_without_enter_is_noop(self):
         timer = Timer()
         timer.__exit__(None, None, None)  # must not raise
         assert timer.elapsed == 0.0
 
-    def test_reenterable(self):
+    def test_reenterable(self, fake_clock):
+        fake_clock += [1.0, 3.0, 5.0, 5.5]
         timer = Timer()
         with timer:
-            time.sleep(0.002)
+            pass
         first = timer.elapsed
         with timer:
             pass
+        assert first == 2.0
         assert timer.elapsed < first  # second run overwrote the first
+        assert timer.elapsed == 0.5
 
-    def test_double_exit_keeps_first_measurement(self):
+    def test_double_exit_keeps_first_measurement(self, fake_clock):
+        fake_clock += [1.0, 1.5]
         timer = Timer()
         with timer:
-            time.sleep(0.002)
+            pass
         first = timer.elapsed
-        timer.__exit__(None, None, None)
-        assert timer.elapsed == first
+        timer.__exit__(None, None, None)  # reads no clock: the list is empty
+        assert timer.elapsed == first == 0.5
 
     def test_named_timer_reports_to_active_registry(self):
-        from repro.obs import MetricsRegistry, use_registry
+        from repro.obs import MetricsRegistry, Telemetry, use_telemetry
 
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             with Timer("step"):
                 pass
             with Timer("step"):
@@ -118,17 +134,20 @@ class TestTimer:
         assert registry.histogram("timer.step").count == 2
 
     def test_unnamed_timer_registers_nothing(self):
-        from repro.obs import MetricsRegistry, use_registry
+        from repro.obs import MetricsRegistry, Telemetry, use_telemetry
 
         registry = MetricsRegistry()
-        with use_registry(registry):
+        with use_telemetry(Telemetry(registry=registry)):
             with Timer():
                 pass
         assert not registry.names()
 
-    def test_time_callable_returns_minimum(self):
-        value = time_callable(lambda: time.sleep(0.002), repeats=2)
-        assert 0.001 < value < 0.5
+    def test_time_callable_returns_minimum(self, fake_clock):
+        fake_clock += [0.0, 3.0, 10.0, 11.0, 20.0, 22.0]
+        calls = []
+        value = time_callable(lambda: calls.append(1), repeats=3)
+        assert value == 1.0
+        assert len(calls) == 3
 
     def test_invalid_repeats_rejected(self):
         with pytest.raises(ValueError):
