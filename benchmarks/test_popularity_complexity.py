@@ -40,3 +40,15 @@ def test_popularity_scoring_complexity(
     assert largest.speedup > 10.0
     # The cheap ranking agrees with the exact one.
     assert result.rank_agreement > 0.95
+
+
+def test_flat_mean_vector_cost_smoke_timing(tmall_artifacts):
+    """Wall-clock form of the flat-cost check at 100 vs 400 users."""
+    result = run_complexity(
+        "smoke", artifacts=tmall_artifacts, user_counts=(100, 400), repeats=2
+    )
+    assert len(result.rows) == 2
+    small, large = result.rows
+    # Pairwise cost grows with users; mean-vector cost must not.
+    assert large.pairwise_seconds_per_item > small.pairwise_seconds_per_item
+    assert large.mean_vector_seconds_per_item < small.pairwise_seconds_per_item

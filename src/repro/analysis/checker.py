@@ -21,9 +21,9 @@ scale with the batch the way it should is reported as a
 * ``grad-less-parameter`` — a registered parameter is unreachable from
   *every* traced path, so no optimizer step can ever touch it.
 
-Tracing uses the same patch-on-enable instrumentation as the profiler
-and sanitizer (``PROFILED_OPS``), plus a ``Module.__call__`` hook that
-maintains the dotted module path so findings point at
+Tracing patches the ops through the profiler's and sanitizer's
+:class:`~repro.obs.autograd.OpPatcher`, plus a ``Module.__call__`` hook
+that maintains the dotted module path so findings point at
 ``item_encoder.head.layers.2`` rather than a bare op name.
 
 Entry points: :func:`check_model` for one model and
@@ -50,7 +50,7 @@ from repro.data.schema import (
 )
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, get_default_dtype
-from repro.obs.autograd import PROFILED_OPS
+from repro.obs.autograd import OpPatcher, _tensor_args
 
 __all__ = [
     "OpRecord",
@@ -74,7 +74,6 @@ ABSTRACT_BATCH_SIZES: Tuple[int, int] = (7, 13)
 class OpRecord:
     """One traced autograd op."""
 
-    index: int
     op: str
     module_path: str
     out: Tensor
@@ -102,10 +101,7 @@ class PathSpec:
     run: Callable[[Module, Dict[str, np.ndarray]], Tensor]
 
 
-_TRACER_ACTIVE = False
-
-
-class GraphTracer:
+class GraphTracer(OpPatcher):
     """Records every autograd op and the module that issued it."""
 
     def __init__(self, module_names: Optional[Dict[int, str]] = None) -> None:
@@ -113,31 +109,19 @@ class GraphTracer:
         self.module_names = module_names or {}
         self.module_stack: List[str] = []
         self.error_path: Optional[str] = None
-        self._originals: List[Tuple[str, object]] = []
         self._call_original = None
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _tensor_args(args) -> List[Tensor]:
-        found: List[Tensor] = []
-        for arg in args:
-            if isinstance(arg, Tensor):
-                found.append(arg)
-            elif isinstance(arg, (list, tuple)):
-                found.extend(a for a in arg if isinstance(a, Tensor))
-        return found
-
-    def _wrap_op(self, label: str, fn):
+    def _wrap(self, label: str, fn):
         tracer = self
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            inputs = tracer._tensor_args(args)
+            inputs = _tensor_args(args)
             out = fn(*args, **kwargs)
             if isinstance(out, Tensor):
                 tracer.records.append(
                     OpRecord(
-                        index=len(tracer.records),
                         op=label,
                         module_path=(
                             tracer.module_stack[-1] if tracer.module_stack else ""
@@ -172,33 +156,20 @@ class GraphTracer:
         return wrapper
 
     # ------------------------------------------------------------------
-    def __enter__(self) -> "GraphTracer":
-        global _TRACER_ACTIVE
-        if _TRACER_ACTIVE:
-            raise RuntimeError("another GraphTracer is already active")
-        for method_name, label in PROFILED_OPS.items():
-            original = Tensor.__dict__[method_name]
-            self._originals.append((method_name, original))
-            fn = original.__func__ if isinstance(original, staticmethod) else original
-            wrapped = self._wrap_op(label, fn)
-            if isinstance(original, staticmethod):
-                setattr(Tensor, method_name, staticmethod(wrapped))
-            else:
-                setattr(Tensor, method_name, wrapped)
-        self._call_original = Module.__dict__["__call__"]
-        Module.__call__ = self._wrap_call(self._call_original)
-        _TRACER_ACTIVE = True
+    def enable(self) -> "GraphTracer":
+        """Install the op wrappers, then the ``Module.__call__`` hook."""
+        if not self.enabled:
+            super().enable()
+            self._call_original = Module.__dict__["__call__"]
+            Module.__call__ = self._wrap_call(self._call_original)
         return self
 
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        global _TRACER_ACTIVE
-        for method_name, original in self._originals:
-            setattr(Tensor, method_name, original)
-        self._originals.clear()
-        if self._call_original is not None:
+    def disable(self) -> None:
+        """Remove both (idempotent)."""
+        if self.enabled:
+            super().disable()
             Module.__call__ = self._call_original
             self._call_original = None
-        _TRACER_ACTIVE = False
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,10 @@ _LEGACY_NP_RANDOM = frozenset(
     }
 )
 
-# The ambient telemetry slot's accessor: its result is a handle whose
-# fields (``registry``, ``monitor``, ``slo``...) are ambient channels.
+# The ambient telemetry slot's accessor and global: either is a handle
+# whose fields (``registry``, ``monitor``, ``slo``...) are ambient channels.
 _SLOT_ACCESSOR = "current_telemetry"
+_SLOT_GLOBAL = "_ACTIVE_TELEMETRY"
 
 # Suppression codes that mute a float64 literal as an EFF005 taint
 # source (a reasoned ATN002 suppression documents the promotion).
@@ -107,6 +108,38 @@ def module_name_for(relpath: str) -> str:
     if parts and parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
+
+
+def _names_slot(node: ast.AST, imports: Dict[str, str]) -> bool:
+    """``current_telemetry()`` or the slot global itself."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        node, leaf = node.func, _SLOT_ACCESSOR
+    elif isinstance(node, ast.Name):
+        leaf = _SLOT_GLOBAL
+    else:
+        return False
+    return imports.get(node.id, node.id).rsplit(".", 1)[-1] == leaf
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when ``node`` is ``self.<attr>``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _slot_attrs(cls: ast.ClassDef, imports: Dict[str, str]) -> Set[str]:
+    """The ``self.<attr>`` names any method of ``cls`` binds to the slot."""
+    return {
+        _self_attr(target)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Assign) and _names_slot(node.value, imports)
+        for target in node.targets
+    } - {None}
 
 
 def _is_np_random(node: ast.AST) -> Optional[str]:
@@ -176,12 +209,14 @@ class _FunctionHarvester:
         module_globals: Set[str],
         imports: Dict[str, str],
         suppressed_float64: Set[int],
+        slot_attrs: Set[str],
     ) -> None:
         self.info = info
         self.node = node
         self.module_globals = module_globals
         self.imports = imports
         self.suppressed_float64 = suppressed_float64
+        self.slot_attrs = slot_attrs
         self.locals: Set[str] = set(info.params) | _assigned_names(node)
         self.declared_globals: Set[str] = set()
         # Aliasing state, updated in statement order.
@@ -234,13 +269,12 @@ class _FunctionHarvester:
 
     # -- expression classification -------------------------------------
     def _is_slot(self, node: ast.AST) -> bool:
-        """``current_telemetry()`` or a local bound to its result."""
-        if isinstance(node, ast.Name):
-            return node.id in self.slot_locals
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            target = self.imports.get(node.func.id, node.func.id)
-            return target.rsplit(".", 1)[-1] == _SLOT_ACCESSOR
-        return False
+        """The slot, or a local or ``self.<attr>`` bound to it."""
+        if isinstance(node, ast.Name) and node.id in self.slot_locals:
+            return True
+        if isinstance(node, ast.Attribute):
+            return _self_attr(node) in self.slot_attrs
+        return _names_slot(node, self.imports)
 
     def _slot_field(self, node: ast.AST) -> Optional[str]:
         """The channel ``node`` denotes when it is ``<slot>.<field>``."""
@@ -253,11 +287,7 @@ class _FunctionHarvester:
             if node.id in self.param_aliases:
                 return ("param", self.param_aliases[node.id])
             return ("local", node.id)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
+        if _self_attr(node) is not None:
             return ("attr", node.attr)
         if isinstance(node, ast.Starred):
             return self._arg_ref(node.value)
@@ -288,11 +318,7 @@ class _FunctionHarvester:
                 if base.id == "self":
                     return ("self", func.attr)
                 return ("obj", base.id, func.attr)
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-            ):
+            if _self_attr(base) is not None:
                 return ("self_attr", base.attr, func.attr)
         return None
 
@@ -330,8 +356,6 @@ class _FunctionHarvester:
             target = self.imports.get(name, name)
             leaf = target.rsplit(".", 1)[-1]
             if leaf == _SLOT_ACCESSOR:
-                if result_local is not None:
-                    self.slot_locals.add(result_local)
                 return None
             if leaf.startswith("get_active_"):
                 channel = leaf[len("get_active_"):]
@@ -470,6 +494,8 @@ class _FunctionHarvester:
             if channel is not None:
                 self.info.ambient_reads.setdefault(channel, line)
                 self.handle_locals[name] = channel
+            elif self._is_slot(value):
+                self.slot_locals.add(name)
             elif isinstance(value, ast.Name) and value.id in self.param_aliases:
                 self.param_aliases[name] = self.param_aliases[value.id]
             else:
@@ -495,11 +521,7 @@ class _FunctionHarvester:
                 source = self._view_source(target.value)
                 if source is not None and source[0] == "param":
                     self.info.mutated_params.setdefault(source[1], line)
-                elif (
-                    isinstance(target.value, ast.Attribute)
-                    and isinstance(target.value.value, ast.Name)
-                    and target.value.value.id == "self"
-                ):
+                elif _self_attr(target.value) is not None:
                     self.info.attr_writes.add(target.value.attr)
             self._visit(target.value)
             self._visit(target.slice)
@@ -523,11 +545,7 @@ class _FunctionHarvester:
         if isinstance(value, ast.Call):
             if isinstance(value.func, ast.Name):
                 hint = value.func.id
-            elif (
-                isinstance(value.func, ast.Attribute)
-                and isinstance(value.func.value, ast.Name)
-                and value.func.value.id == "self"
-            ):
+            elif _self_attr(value.func) is not None:
                 hint = f"@return:{value.func.attr}"
         elif isinstance(value, ast.Name):
             annotation = self.info.param_annotations.get(value.id)
@@ -623,6 +641,7 @@ def _harvest_function(
     qualname: str,
     class_name: Optional[str],
     suppressed_float64: Set[int],
+    slot_attrs: Set[str],
 ) -> FunctionInfo:
     params: List[str] = []
     annotations: Dict[str, str] = {}
@@ -651,7 +670,8 @@ def _harvest_function(
         ),
     )
     harvester = _FunctionHarvester(
-        info, node, module.data_globals, module.imports, suppressed_float64
+        info, node, module.data_globals, module.imports, suppressed_float64,
+        slot_attrs,
     )
     harvester.run()
     return info
@@ -698,7 +718,7 @@ def harvest_tree(
         if isinstance(node, ast.FunctionDef):
             qualname = f"{name}.{node.name}"
             module.functions[node.name] = _harvest_function(
-                node, module, qualname, None, suppressed
+                node, module, qualname, None, suppressed, set()
             )
         elif isinstance(node, ast.ClassDef):
             cls = ClassInfo(
@@ -711,11 +731,13 @@ def harvest_tree(
                     if not isinstance(base, ast.Subscript)
                 ],
             )
+            slot_attrs = _slot_attrs(node, module.imports)
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
                     qualname = f"{name}.{node.name}.{member.name}"
                     info = _harvest_function(
-                        member, module, qualname, node.name, suppressed
+                        member, module, qualname, node.name, suppressed,
+                        slot_attrs,
                     )
                     cls.methods[member.name] = info
                     for attr, hint in info.attr_type_hints.items():

@@ -26,8 +26,9 @@ accumulation must never scatter a buffer into itself.  The
   so a NaN observed in the loss names the op (and shape/dtype) where it
   was born, not where it surfaced.
 
-The sanitizer is strictly opt-in and patch-on-enable (the pattern of
-:class:`repro.obs.AutogradProfiler`): when disabled the engine runs the
+The sanitizer is strictly opt-in and patch-on-enable (it is an
+:class:`repro.obs.autograd.OpPatcher`, like the autograd profiler, and
+may be enabled together with it): when disabled the engine runs the
 original methods and the only residual cost is the integer version bump
 in the optimizers.  Enable it around a suspect training loop::
 
@@ -51,7 +52,7 @@ import numpy as np
 from repro.analysis.diagnostics import ERROR, WARNING, Diagnostic
 from repro.nn.sparse import SparseGrad
 from repro.nn.tensor import Tensor, get_active_sanitizer, set_active_sanitizer
-from repro.obs.autograd import PROFILED_OPS
+from repro.obs.autograd import OpPatcher, _tensor_args
 from repro.obs.logging import get_logger, kv
 from repro.obs.context import current_telemetry
 
@@ -95,11 +96,7 @@ def _fingerprint(array: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(array).tobytes())
 
 
-# Only one sanitizer may patch the Tensor class at a time.
-_ENABLED_SANITIZER: Optional["GradSanitizer"] = None
-
-
-class GradSanitizer:
+class GradSanitizer(OpPatcher):
     """Opt-in runtime checks over the autograd engine.
 
     Parameters
@@ -135,7 +132,6 @@ class GradSanitizer:
             "aliased_accumulations": 0,
             "nonfinite_ops": 0,
         }
-        self._originals: List[Tuple[str, object]] = []
         self._reported_nonfinite_ops: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -243,20 +239,10 @@ class GradSanitizer:
     # ------------------------------------------------------------------
     # Non-finite taint tracking
     # ------------------------------------------------------------------
-    @staticmethod
-    def _tensor_args(args) -> List[Tensor]:
-        found: List[Tensor] = []
-        for arg in args:
-            if isinstance(arg, Tensor):
-                found.append(arg)
-            elif isinstance(arg, (list, tuple)):
-                found.extend(a for a in arg if isinstance(a, Tensor))
-        return found
-
     def _check_nonfinite(self, label: str, args, out: Tensor) -> None:
         # Inherit taint from any input first: downstream ops report the
         # original source, not themselves.
-        for tensor in self._tensor_args(args):
+        for tensor in _tensor_args(args):
             if tensor._taint is not None:
                 out._taint = tensor._taint
                 return
@@ -315,42 +301,13 @@ class GradSanitizer:
         return wrapper
 
     def enable(self) -> "GradSanitizer":
-        """Patch the Tensor op methods; raises if another sanitizer is on."""
-        global _ENABLED_SANITIZER
-        if _ENABLED_SANITIZER is self:
-            return self
-        if _ENABLED_SANITIZER is not None:
-            raise RuntimeError("another GradSanitizer is already enabled")
-        for method_name, label in PROFILED_OPS.items():
-            original = Tensor.__dict__[method_name]
-            self._originals.append((method_name, original))
-            fn = original.__func__ if isinstance(original, staticmethod) else original
-            wrapped = self._wrap(label, fn)
-            if isinstance(original, staticmethod):
-                setattr(Tensor, method_name, staticmethod(wrapped))
-            else:
-                setattr(Tensor, method_name, wrapped)
+        """Install the op wrappers and the engine's accumulation checks."""
+        super().enable()
         set_active_sanitizer(self)
-        _ENABLED_SANITIZER = self
         return self
 
     def disable(self) -> None:
-        """Restore the original Tensor methods (idempotent)."""
-        global _ENABLED_SANITIZER
-        if _ENABLED_SANITIZER is not self:
-            return
-        for method_name, original in self._originals:
-            setattr(Tensor, method_name, original)
-        self._originals.clear()
-        set_active_sanitizer(None)
-        _ENABLED_SANITIZER = None
-
-    @property
-    def enabled(self) -> bool:
-        return _ENABLED_SANITIZER is self
-
-    def __enter__(self) -> "GradSanitizer":
-        return self.enable()
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.disable()
+        """Remove both (idempotent)."""
+        if self.enabled:
+            super().disable()
+            set_active_sanitizer(None)

@@ -15,6 +15,8 @@ to model code.  For each op it records:
 
 The hook is strictly opt-in: when no profiler is enabled the engine runs
 the original unwrapped methods, so disabled telemetry costs nothing.
+The patching is :class:`OpPatcher`, shared with the runtime sanitizer
+and the graph checker's tracer, so any of them may be enabled together.
 
 >>> from repro.obs import AutogradProfiler
 >>> from repro.nn.tensor import Tensor
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.nn.tensor import Tensor
 from repro.obs.tracing import chrome_event, chrome_trace_json
 
-__all__ = ["OpStats", "AutogradProfiler", "PROFILED_OPS"]
+__all__ = ["OpStats", "OpPatcher", "AutogradProfiler", "PROFILED_OPS"]
 
 # Method name on Tensor -> human-readable op label.
 PROFILED_OPS: Dict[str, str] = {
@@ -92,11 +94,82 @@ class OpStats:
         return self.forward_seconds + self.backward_seconds
 
 
-# Only one profiler may patch the Tensor class at a time.
-_ENABLED_PROFILER: Optional["AutogradProfiler"] = None
+# Tools whose wrappers are installed, in the order they were enabled, and
+# the Tensor class entries they replaced (held while any tool is enabled).
+_ENABLED_TOOLS: List["OpPatcher"] = []
+_PRISTINE: Dict[str, object] = {}
 
 
-class AutogradProfiler:
+def _reinstall() -> None:
+    """Point every op at its pristine method wrapped by each enabled tool.
+
+    The first tool enabled is innermost.  With no tool left the pristine
+    entries go back by identity and are forgotten.
+    """
+    if not _PRISTINE:
+        _PRISTINE.update((name, Tensor.__dict__[name]) for name in PROFILED_OPS)
+    for name, original in _PRISTINE.items():
+        static = isinstance(original, staticmethod)
+        fn = original.__func__ if static else original
+        for tool in _ENABLED_TOOLS:
+            fn = tool._wrap(PROFILED_OPS[name], fn)
+        wrapped = staticmethod(fn) if static else fn
+        setattr(Tensor, name, wrapped if _ENABLED_TOOLS else original)
+    if not _ENABLED_TOOLS:
+        _PRISTINE.clear()
+
+
+def _tensor_args(args) -> List[Tensor]:
+    """The tensors among an op's arguments, looking into nested lists and
+    tuples (``_fused_mlp`` takes ``[(weight, bias, relu), ...]``)."""
+    found: List[Tensor] = []
+    for arg in args:
+        if isinstance(arg, Tensor):
+            found.append(arg)
+        elif isinstance(arg, (list, tuple)):
+            found.extend(_tensor_args(arg))
+    return found
+
+
+class OpPatcher:
+    """A tool that wraps every ``PROFILED_OPS`` method while enabled.
+
+    Subclasses supply ``_wrap(label, fn)``.  Tools stack, at most one
+    instance of each class: every op runs through one wrapper per enabled
+    tool, whatever order they are enabled and disabled in.
+    """
+
+    def _wrap(self, label: str, fn):
+        raise NotImplementedError
+
+    def enable(self):
+        """Install this tool's wrappers; raises if another instance is on."""
+        if self.enabled:
+            return self
+        if any(type(tool) is type(self) for tool in _ENABLED_TOOLS):
+            raise RuntimeError(f"another {type(self).__name__} is already enabled")
+        _ENABLED_TOOLS.append(self)
+        _reinstall()
+        return self
+
+    def disable(self) -> None:
+        """Remove this tool's wrappers (idempotent)."""
+        if self.enabled:
+            _ENABLED_TOOLS.remove(self)
+            _reinstall()
+
+    @property
+    def enabled(self) -> bool:
+        return self in _ENABLED_TOOLS
+
+    def __enter__(self):
+        return self.enable()
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.disable()
+
+
+class AutogradProfiler(OpPatcher):
     """Times every autograd op while enabled; context-manager friendly.
 
     With ``record_events=True`` the profiler additionally keeps a
@@ -113,7 +186,6 @@ class AutogradProfiler:
         if max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
         self._stats: Dict[str, OpStats] = {}
-        self._originals: List[Tuple[str, object]] = []
         self.record_events = record_events
         self.max_events = max_events
         # (label, "forward"|"backward", absolute start, duration).
@@ -181,45 +253,6 @@ class AutogradProfiler:
             return out
 
         return wrapper
-
-    def enable(self) -> "AutogradProfiler":
-        """Patch the Tensor op methods; raises if a profiler is already on."""
-        global _ENABLED_PROFILER
-        if _ENABLED_PROFILER is self:
-            return self
-        if _ENABLED_PROFILER is not None:
-            raise RuntimeError("another AutogradProfiler is already enabled")
-        for method_name, label in PROFILED_OPS.items():
-            original = Tensor.__dict__[method_name]
-            self._originals.append((method_name, original))
-            fn = original.__func__ if isinstance(original, staticmethod) else original
-            wrapped = self._wrap(label, fn)
-            if isinstance(original, staticmethod):
-                setattr(Tensor, method_name, staticmethod(wrapped))
-            else:
-                setattr(Tensor, method_name, wrapped)
-        _ENABLED_PROFILER = self
-        return self
-
-    def disable(self) -> None:
-        """Restore the original Tensor methods (idempotent)."""
-        global _ENABLED_PROFILER
-        if _ENABLED_PROFILER is not self:
-            return
-        for method_name, original in self._originals:
-            setattr(Tensor, method_name, original)
-        self._originals.clear()
-        _ENABLED_PROFILER = None
-
-    @property
-    def enabled(self) -> bool:
-        return _ENABLED_PROFILER is self
-
-    def __enter__(self) -> "AutogradProfiler":
-        return self.enable()
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.disable()
 
     # ------------------------------------------------------------------
     # Reporting

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.analysis import check_model, default_paths, demo_schema
+from repro.analysis import (
+    GraphTracer,
+    check_model,
+    default_paths,
+    demo_schema,
+    schema_inputs,
+)
 from repro.core.registry import available_models, build_model
 from repro.core.towers import TowerConfig
 from repro.data.schema import GROUP_USER, FeatureSchema, NumericFeature
 from repro.nn import Tensor, default_dtype
 from repro.nn.layers.linear import Linear
+from repro.nn.layers.mlp import MLP
 from repro.nn.module import Module, Parameter
 
 SMALL_CONFIG = TowerConfig(
@@ -113,6 +120,38 @@ def test_dtype_promotion_detected_in_float32_mode():
     promotions = [d for d in report.errors() if d.code == "dtype-promotion"]
     assert promotions, report.format()
     assert any("head" in d.location for d in promotions)
+
+
+class FusedPromotionBroken(Module):
+    """A fused Linear/ReLU stack whose weights stay float64."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.mlp = MLP(1, [4, 1], rng=rng)
+
+    def forward(self, features):
+        return self.mlp(_column(features)).reshape((-1,))
+
+
+def test_fused_mlp_record_lists_weights_and_flags_mixed_inputs():
+    model = FusedPromotionBroken(np.random.default_rng(0))  # float64 weights
+    with default_dtype(np.float32):
+        features = schema_inputs(_numeric_schema(), 3)
+        with GraphTracer() as tracer:
+            model(features)
+        report = check_model(model, _numeric_schema())
+    [record] = [r for r in tracer.records if r.op == "fused_mlp"]
+    # Input, then (weight, bias) per layer, from the nested layer triples.
+    assert record.input_shapes == ((3, 1), (1, 4), (4,), (4, 1), (1,))
+    assert record.input_dtypes == ("float32",) + ("float64",) * 4
+    fused = [
+        d for d in report.errors()
+        if d.code == "dtype-promotion" and d.location.endswith("::fused_mlp")
+    ]
+    assert [d.message for d in fused] == [
+        "op mixes float32 and float64 inputs; numpy promotes the whole "
+        "computation to float64"
+    ], report.format()
 
 
 class DetachedBroken(Module):

@@ -201,6 +201,48 @@ def test_eff003_sees_ambient_writes_through_the_telemetry_slot(tmp_path):
     }
 
 
+def test_eff003_sees_request_hooks_through_the_slot_global_and_self(tmp_path):
+    analysis = _analyze(tmp_path, {
+        "repro/obs/context.py": """
+            class Telemetry:
+                slo = None
+                flight = None
+
+            _ACTIVE_TELEMETRY = Telemetry()
+
+            class request_scope:
+                def __enter__(self):
+                    telemetry = self._telemetry = _ACTIVE_TELEMETRY
+                    telemetry.flight.on_enter()
+                    return self
+
+                def __exit__(self, exc_type, exc_value, traceback):
+                    telemetry = self._telemetry
+                    slo, flight = telemetry.slo, telemetry.flight
+                    slo.on_request(None)
+                    flight.on_request(None)
+        """,
+        "repro/serving/engine.py": """
+            from repro.obs.context import request_scope
+
+            class RealTimeEngine:
+                def ingest(self, events):
+                    with request_scope():
+                        return events
+        """,
+    })
+    found = {
+        (d.detail("channel"), d.detail("entries"))
+        for d in run_rules(analysis)
+        if d.code == "EFF003"
+    }
+    assert found == {
+        ("flight.on_enter", "ingest"),
+        ("slo.on_request", "ingest"),
+        ("flight.on_request", "ingest"),
+    }
+
+
 def test_eff003_passes_when_state_is_per_engine(tmp_path):
     codes = _rule_codes(tmp_path, {
         "repro/serving/engine.py": """

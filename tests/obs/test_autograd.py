@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis import GradSanitizer, GraphTracer, sanitizer_active
 from repro.nn import concat, embedding_lookup
+from repro.nn.layers.linear import Linear
+from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.obs import AutogradProfiler
+from repro.obs.autograd import PROFILED_OPS
 
 
 def _small_graph():
@@ -94,6 +98,84 @@ class TestPatchLifecycle:
 
     def test_disable_without_enable_is_noop(self):
         AutogradProfiler().disable()
+
+
+def _ops_seen(tool) -> int:
+    if isinstance(tool, AutogradProfiler):
+        return sum(stats.calls for stats in tool.report().values())
+    if isinstance(tool, GradSanitizer):
+        return tool.stats["forward_ops"]
+    return len(tool.records)
+
+
+class TestStacking:
+    """Tools enabled together each keep exactly their own wrappers."""
+
+    @pytest.mark.parametrize("enable_order", ["profiler-first", "sanitizer-first"])
+    @pytest.mark.parametrize("disable_order", ["fifo", "lifo"])
+    def test_profiler_and_sanitizer(self, enable_order, disable_order):
+        originals = {name: Tensor.__dict__[name] for name in PROFILED_OPS}
+        tools = [AutogradProfiler(), GradSanitizer()]
+        if enable_order == "sanitizer-first":
+            tools.reverse()
+        first, second = tools if disable_order == "fifo" else tools[::-1]
+        try:
+            for tool in tools:
+                tool.enable()
+            _, loss = _small_graph()
+            loss.backward()
+            assert _ops_seen(first) > 0 and _ops_seen(second) > 0
+
+            first.disable()
+            assert sanitizer_active() == isinstance(second, GradSanitizer)
+            before = (_ops_seen(first), _ops_seen(second))
+            _, loss = _small_graph()
+            loss.backward()
+            assert _ops_seen(first) == before[0]
+            assert _ops_seen(second) > before[1]
+
+            second.disable()
+            before = (_ops_seen(first), _ops_seen(second))
+            _small_graph()
+            assert (_ops_seen(first), _ops_seen(second)) == before
+            assert not sanitizer_active()
+            for name, original in originals.items():
+                assert Tensor.__dict__[name] is original, name
+        finally:
+            for tool in tools:
+                tool.disable()
+
+    @pytest.mark.parametrize("profiler_off_first", [False, True])
+    def test_graph_tracer_inside_profiler(self, profiler_off_first):
+        originals = {name: Tensor.__dict__[name] for name in PROFILED_OPS}
+        original_call = Module.__dict__["__call__"]
+        layer = Linear(3, 2, rng=np.random.default_rng(0))
+        profiler = AutogradProfiler()
+        tracer = GraphTracer({id(layer): "layer"})
+        first, second = (profiler, tracer) if profiler_off_first else (tracer, profiler)
+        try:
+            profiler.enable()
+            tracer.enable()
+            layer(Tensor(np.ones((1, 3)))).sum()
+            assert _ops_seen(profiler) > 0
+            assert {r.module_path for r in tracer.records} >= {"layer"}
+
+            first.disable()
+            before = (_ops_seen(first), _ops_seen(second))
+            layer(Tensor(np.ones((1, 3)))).sum()
+            assert _ops_seen(first) == before[0]
+            assert _ops_seen(second) > before[1]
+
+            second.disable()
+            before = (_ops_seen(first), _ops_seen(second))
+            _small_graph()
+            assert (_ops_seen(first), _ops_seen(second)) == before
+            assert Module.__dict__["__call__"] is original_call
+            for name, original in originals.items():
+                assert Tensor.__dict__[name] is original, name
+        finally:
+            profiler.disable()
+            tracer.disable()
 
 
 class TestReporting:
