@@ -8,7 +8,9 @@ on the order of 15 minutes and reproduces the paper's shapes.
 
 Each benchmark renders its table to stdout and writes it under
 ``benchmarks/results/`` so the reproduced tables survive pytest's output
-capture.
+capture: ``<name>.txt`` for the default preset (the committed tables) and
+``<name>.<preset>.txt`` for any other preset (git-ignored), so a smoke
+run never overwrites a committed table.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ def eleme_artifacts(bench_preset):
 
 
 @pytest.fixture(scope="session")
-def save_report():
-    """Callable writing a rendered table to benchmarks/results/<name>.txt."""
+def save_report(bench_preset):
+    """Callable writing a rendered table to benchmarks/results/<name>[.<preset>].txt."""
     RESULTS_DIR.mkdir(exist_ok=True)
+    suffix = "" if bench_preset == "default" else f".{bench_preset}"
 
     def _save(name: str, content: str) -> None:
-        path = RESULTS_DIR / f"{name}.txt"
+        path = RESULTS_DIR / f"{name}{suffix}.txt"
         path.write_text(content + "\n", encoding="utf-8")
         print(f"\n{content}\n[saved to {path}]")
 

@@ -5,13 +5,16 @@ float64 on purpose — it produces ground truth.  The model layers must
 not: they run under the engine's configurable default dtype, and the
 effects analyzer (``EFF005``) flags any call that crosses into a
 float64-promoting helper.  These variants keep the input's floating
-dtype (non-float input is converted to the engine default).
+dtype (non-float input is converted to the engine default).  Both
+layers' ``sigmoid`` wrap the one dtype-preserving
+:func:`~repro.data.synthetic.common.logistic` kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.data.synthetic.common import logistic
 from repro.nn.tensor import get_default_dtype
 
 __all__ = ["sigmoid"]
@@ -22,9 +25,4 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(get_default_dtype())
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    return logistic(x)

@@ -4,17 +4,78 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sigmoid", "standardize", "noisy", "segment_latents"]
+__all__ = [
+    "logistic",
+    "sigmoid",
+    "mean_click_probability",
+    "standardize",
+    "noisy",
+    "segment_latents",
+]
+
+# Row blocks of the popularity oracle hold about this many bytes of
+# float64 logits, so a pass never materialises the items x users matrix.
+_POPULARITY_BLOCK_BYTES = 2 << 20
+# No block is cut smaller than this: a 1-row product goes through BLAS
+# GEMV, whose sums round differently from the GEMM a full pass uses.
+_POPULARITY_MIN_BLOCK_ROWS = 4
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of a float array, in its dtype.
+
+    ``exp(-|x|)`` never overflows, and each branch is the textbook form
+    for its sign, so the result is bitwise that of evaluating
+    ``1 / (1 + exp(-x))`` on ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    elsewhere (NaN stays NaN).
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
+    """Numerically stable logistic function, in float64."""
+    return logistic(np.asarray(x, dtype=np.float64))
+
+
+def mean_click_probability(
+    item_latents: np.ndarray,
+    item_quality: np.ndarray,
+    user_latents: np.ndarray,
+    bias: float,
+    affinity_weight: float,
+    quality_weight: float,
+) -> np.ndarray:
+    """Each item's click probability averaged over ``user_latents``' users.
+
+    The logit of item ``i`` for user ``u`` is ``bias + affinity_weight *
+    <L_i, L_u> / sqrt(latent_dim) + quality_weight * quality_i``.  Items
+    are processed in near-equal row blocks of about
+    :data:`_POPULARITY_BLOCK_BYTES`, so peak memory stays a few blocks
+    whatever the item count; each row's arithmetic is the same as in
+    one dense ``items x users`` pass, bit for bit.
+    """
+    n_items, latent_dim = item_latents.shape
+    scaled = affinity_weight * item_latents
+    quality_term = quality_weight * item_quality[:, None]
+    scale = np.sqrt(latent_dim)
+    out = np.empty(n_items)
+    matrix_bytes = 8 * n_items * len(user_latents)
+    n_blocks = max(
+        1,
+        min(
+            -(-matrix_bytes // _POPULARITY_BLOCK_BYTES),
+            n_items // _POPULARITY_MIN_BLOCK_ROWS,
+        ),
+    )
+    bounds = np.arange(n_blocks + 1) * n_items // n_blocks
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        logits = scaled[start:stop] @ user_latents.T
+        logits /= scale
+        logits += bias
+        logits += quality_term[start:stop]
+        out[start:stop] = logistic(logits).mean(axis=1)
     return out
 
 

@@ -36,7 +36,12 @@ from repro.data.schema import (
     NumericFeature,
     SequenceFeature,
 )
-from repro.data.synthetic.common import noisy, sigmoid, standardize
+from repro.data.synthetic.common import (
+    mean_click_probability,
+    noisy,
+    sigmoid,
+    standardize,
+)
 from repro.utils.rng import derive_seed
 
 __all__ = ["MovieConfig", "MovieWorld", "generate_movie_world"]
@@ -116,23 +121,21 @@ class MovieWorld:
         )
 
         self._generate_users(rng_users)
-        self.movies, self.movie_latents, self.movie_quality = self._generate_movies(
-            rng_movies, cfg.n_movies, stats_rng=rng_stats
-        )
+        (
+            self.movies,
+            self.movie_latents,
+            self.movie_quality,
+            self.movie_popularity,
+        ) = self._generate_movies(rng_movies, cfg.n_movies, stats_rng=rng_stats)
         (
             self.new_movies,
             self.new_movie_latents,
             self.new_movie_quality,
+            self.new_movie_popularity,
         ) = self._generate_movies(rng_new, cfg.n_new_movies, stats_rng=None)
 
         self.schema = self._build_schema()
         self.interactions = self._generate_interactions(rng_inter)
-        self.new_movie_popularity = self._popularity(
-            self.new_movie_latents, self.new_movie_quality
-        )
-        self.movie_popularity = self._popularity(
-            self.movie_latents, self.movie_quality
-        )
 
     # ------------------------------------------------------------------
     def _generate_users(self, rng: np.random.Generator) -> None:
@@ -177,7 +180,12 @@ class MovieWorld:
         rng: np.random.Generator,
         count: int,
         stats_rng: Optional[np.random.Generator],
-    ) -> Tuple[FeatureTable, np.ndarray, np.ndarray]:
+    ) -> Tuple[FeatureTable, np.ndarray, np.ndarray, np.ndarray]:
+        """Profiles, latents, quality and true popularity.
+
+        Statistic columns are drawn from ``stats_rng``, or zeroed when it
+        is None (unreleased titles).
+        """
         cfg = self.config
         genre = rng.integers(0, cfg.n_genres, size=count)
         studio = rng.integers(0, cfg.n_studios, size=count)
@@ -214,21 +222,23 @@ class MovieWorld:
             "movie_runtime": standardize(noisy(runtime, cfg.profile_noise * 10, rng)),
             "movie_trailer_quality": noisy(trailer_quality, cfg.profile_noise, rng),
         }
-        columns.update(self._statistic_columns(count, latents, quality, stats_rng))
-        return FeatureTable(columns), latents, quality
+        popularity = self._popularity(latents, quality)
+        columns.update(
+            self._statistic_columns(count, quality, popularity, stats_rng)
+        )
+        return FeatureTable(columns), latents, quality, popularity
 
     def _statistic_columns(
         self,
         count: int,
-        latents: np.ndarray,
         quality: np.ndarray,
+        popularity: np.ndarray,
         rng: Optional[np.random.Generator],
     ) -> Dict[str, np.ndarray]:
         names = ("stat_log_views", "stat_hist_ctr", "stat_rating", "stat_watchlist_rate")
         if rng is None:
             return {name: np.zeros(count) for name in names}
         cfg = self.config
-        popularity = self._popularity(latents, quality)
         views = rng.lognormal(mean=6.0, sigma=1.0, size=count) * (0.25 + popularity)
         return {
             "stat_log_views": standardize(np.log1p(views)),
@@ -246,13 +256,14 @@ class MovieWorld:
     # ------------------------------------------------------------------
     def _popularity(self, latents: np.ndarray, quality: np.ndarray) -> np.ndarray:
         cfg = self.config
-        logits = (
-            cfg.watch_bias
-            + cfg.affinity_weight
-            * latents @ self.user_latents.T / np.sqrt(cfg.latent_dim)
-            + cfg.quality_weight * quality[:, None]
+        return mean_click_probability(
+            latents,
+            quality,
+            self.user_latents,
+            cfg.watch_bias,
+            cfg.affinity_weight,
+            cfg.quality_weight,
         )
-        return sigmoid(logits).mean(axis=1)
 
     # ------------------------------------------------------------------
     def _build_schema(self) -> FeatureSchema:

@@ -42,7 +42,12 @@ from repro.data.schema import (
     NumericFeature,
     SequenceFeature,
 )
-from repro.data.synthetic.common import noisy, sigmoid, standardize
+from repro.data.synthetic.common import (
+    mean_click_probability,
+    noisy,
+    sigmoid,
+    standardize,
+)
 from repro.utils.rng import derive_seed
 
 __all__ = ["TmallConfig", "TmallWorld", "generate_tmall_world"]
@@ -171,26 +176,25 @@ class TmallWorld:
         self._category_log_price = rng_items.normal(3.5, 0.6, size=cfg.n_categories)
 
         self._generate_users(rng_users)
-        items, item_latents, item_quality, item_log_price = self._generate_items(
-            rng_items, cfg.n_items, include_stats=True, stats_rng=rng_stats
-        )
-        self.items = items
-        self.item_latents = item_latents
-        self.item_quality = item_quality
-        self._item_log_price = item_log_price
+        (
+            self.items,
+            self.item_latents,
+            self.item_quality,
+            self._item_log_price,
+            self.item_popularity,
+        ) = self._generate_items(rng_items, cfg.n_items, stats_rng=rng_stats)
 
-        new_items, new_latents, new_quality, new_log_price = self._generate_items(
-            rng_new, cfg.n_new_items, include_stats=False, stats_rng=None
-        )
-        self.new_items = new_items
-        self.new_item_latents = new_latents
-        self.new_item_quality = new_quality
+        (
+            self.new_items,
+            self.new_item_latents,
+            self.new_item_quality,
+            new_log_price,
+            self.new_item_popularity,
+        ) = self._generate_items(rng_new, cfg.n_new_items, stats_rng=None)
         self.new_item_prices = np.exp(new_log_price)
 
         self.schema = self._build_schema()
         self.interactions = self._generate_interactions(rng_inter)
-        self.new_item_popularity = self.true_popularity(new_latents, new_quality)
-        self.item_popularity = self.true_popularity(item_latents, item_quality)
 
     # ------------------------------------------------------------------
     def _generate_users(self, rng: np.random.Generator) -> None:
@@ -253,9 +257,13 @@ class TmallWorld:
         self,
         rng: np.random.Generator,
         n_items: int,
-        include_stats: bool,
         stats_rng: Optional[np.random.Generator],
-    ) -> Tuple[FeatureTable, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[FeatureTable, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Profiles, latents, quality, log price and true popularity.
+
+        Statistic columns are drawn from ``stats_rng``, or zeroed when it
+        is None (new arrivals).
+        """
         cfg = self.config
         category = rng.integers(0, cfg.n_categories, size=n_items)
         subcategory = (
@@ -318,18 +326,15 @@ class TmallWorld:
             "item_shipping_speed": noisy(shipping_speed, cfg.profile_noise, rng),
         }
 
-        stat_columns = self._statistic_columns(
-            n_items, latents, quality, stats_rng if include_stats else None
-        )
-        columns.update(stat_columns)
-        return FeatureTable(columns), latents, quality, log_price
+        popularity = self.true_popularity(latents, quality)
+        columns.update(self._statistic_columns(n_items, popularity, stats_rng))
+        return FeatureTable(columns), latents, quality, log_price, popularity
 
     # ------------------------------------------------------------------
     def _statistic_columns(
         self,
         n_items: int,
-        latents: np.ndarray,
-        quality: np.ndarray,
+        popularity: np.ndarray,
         rng: Optional[np.random.Generator],
     ) -> Dict[str, np.ndarray]:
         """Engagement statistics for released items (zeros for new arrivals).
@@ -352,7 +357,6 @@ class TmallWorld:
             return {name: np.zeros(n_items) for name in names}
 
         cfg = self.config
-        popularity = self.true_popularity(latents, quality)
         exposure = rng.lognormal(mean=5.0, sigma=1.0, size=n_items)
         pv = exposure * (0.25 + popularity)
         uv = pv * np.clip(rng.beta(6, 3, size=n_items), 0.2, 1.0)
@@ -381,12 +385,14 @@ class TmallWorld:
     def true_popularity(self, latents: np.ndarray, quality: np.ndarray) -> np.ndarray:
         """Ground-truth popularity: mean click probability over all users."""
         cfg = self.config
-        logits = (
-            cfg.click_bias
-            + cfg.affinity_weight * latents @ self.user_latents.T / np.sqrt(cfg.latent_dim)
-            + cfg.quality_weight * quality[:, None]
+        return mean_click_probability(
+            latents,
+            quality,
+            self.user_latents,
+            cfg.click_bias,
+            cfg.affinity_weight,
+            cfg.quality_weight,
         )
-        return sigmoid(logits).mean(axis=1)
 
     def click_probability(self, user_indices: np.ndarray, item_indices: np.ndarray,
                           latents: np.ndarray, quality: np.ndarray) -> np.ndarray:

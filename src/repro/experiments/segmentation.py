@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.segmented_popularity import SegmentedPopularityPredictor
-from repro.data.synthetic.common import sigmoid
+from repro.data.synthetic.common import mean_click_probability
 from repro.experiments.pipeline import TmallArtifacts, build_tmall_artifacts
 from repro.metrics import rank_correlation
 from repro.utils.rng import derive_seed
@@ -81,19 +81,22 @@ def _true_segment_popularity(world, predictor: SegmentedPopularityPredictor):
     """Ground-truth per-segment popularity of every new arrival."""
     assignments = predictor.clustering.assignments
     group_users = predictor._group_user_indices
+    config = world.config
     segments = []
     for segment in range(predictor.clustering.k):
         members = group_users[assignments == segment]
         if members.size == 0:
             members = group_users
-        latents = world.user_latents[members]
-        logits = (
-            world.config.click_bias
-            + world.config.affinity_weight
-            * world.new_item_latents @ latents.T / np.sqrt(world.config.latent_dim)
-            + world.config.quality_weight * world.new_item_quality[:, None]
+        segments.append(
+            mean_click_probability(
+                world.new_item_latents,
+                world.new_item_quality,
+                world.user_latents[members],
+                config.click_bias,
+                config.affinity_weight,
+                config.quality_weight,
+            )
         )
-        segments.append(sigmoid(logits).mean(axis=1))
     return np.column_stack(segments)
 
 

@@ -195,7 +195,6 @@ class Tensor:
         "name",
         "_backward_fn",
         "_parents",
-        "_topo_cache",
         "_version",
         "_taint",
         "_owns_grads",
@@ -213,7 +212,6 @@ class Tensor:
         self.name = name
         self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
-        self._topo_cache: Optional[List["Tensor"]] = None
         # Mutation counter for ``data``.  Every engine-sanctioned in-place
         # write (optimizer updates, ``assign_``, ``load_state_dict``,
         # ``to_dtype``) bumps it; the runtime sanitizer records the version
@@ -458,13 +456,10 @@ class Tensor:
     def _topological_order(self) -> List["Tensor"]:
         """Nodes reachable from ``self`` in reverse topological order.
 
-        The order is computed once per output tensor and cached: a graph's
-        structure is frozen at op-recording time, so repeated ``backward``
-        calls on the same output (gradient accumulation, gradcheck loops)
-        skip the graph walk entirely.
+        Nothing is cached on the output: a list holding the output would
+        make each step's whole graph, activations and all, a reference
+        cycle that only the cyclic collector frees.
         """
-        if self._topo_cache is not None:
-            return self._topo_cache
         order: List[Tensor] = []
         visited = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -481,7 +476,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         order.reverse()
-        self._topo_cache = order
         return order
 
     # ------------------------------------------------------------------

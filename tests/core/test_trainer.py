@@ -1,5 +1,6 @@
 """Trainer tests: loss descent, alternation semantics, history records."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestATNNTrainer:
             ).fit(model, train)
             results[lam] = history.last("loss_s")
         assert results[1.0] < results[0.0]
+
+    def test_fit_leaves_no_cyclic_garbage(
+        self, tiny_tmall_world, tiny_tower_config, small_split
+    ):
+        # Each step's graph is freed by reference counting alone: the tape
+        # holds no cycle, so nothing waits for the cyclic collector.
+        train, test = small_split
+        model = ATNN(
+            tiny_tmall_world.schema, tiny_tower_config,
+            rng=np.random.default_rng(1),
+        )
+        trainer = ATNNTrainer(epochs=1, batch_size=256, lr=3e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.fit(model, train, valid=test)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

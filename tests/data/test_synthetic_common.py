@@ -3,8 +3,35 @@
 import numpy as np
 import pytest
 
+from repro.core import numeric
 from repro.data.synthetic import noisy, sigmoid, standardize
 from repro.data.synthetic.common import segment_latents
+from repro.nn.tensor import default_dtype
+
+
+def masked_sigmoid(x):
+    """The masked two-branch form the shared kernel must match bit for bit."""
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def edge_inputs(dtype, rng):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, info.tiny, -info.tiny,
+             info.smallest_subnormal, -info.smallest_subnormal,
+             info.tiny / 4, -info.tiny / 4, info.max, -info.max,
+             1.0, -1.0, 36.7, -36.7, 88.7, -88.7, 103.9, -103.9,
+             709.7, -709.7, 745.2, -745.2, 800.0, -800.0]
+    return np.concatenate([
+        edges,
+        rng.uniform(-800.0, 800.0, size=2000),
+        rng.normal(0.0, 5.0, size=2000),
+        np.linspace(-1e-3, 1e-3, 201),
+    ]).astype(dtype)
 
 
 class TestSigmoid:
@@ -23,6 +50,43 @@ class TestSigmoid:
     def test_monotone(self, rng):
         x = np.sort(rng.normal(size=50))
         assert np.all(np.diff(sigmoid(x)) >= 0)
+
+
+class TestSharedKernel:
+    """``repro.core.numeric.sigmoid`` and the float64 ``sigmoid`` share one kernel."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_masked_form(self, dtype, rng):
+        x = edge_inputs(dtype, rng)
+        expected = masked_sigmoid(x)
+        got = numeric.sigmoid(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(f"u{x.itemsize}"),
+                                      expected.view(f"u{x.itemsize}"))
+        if dtype is np.float64:
+            np.testing.assert_array_equal(sigmoid(x).view(np.uint64),
+                                          expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_stays_nan(self, dtype):
+        x = np.array([np.nan, 1.0, -1.0], dtype=dtype)
+        assert np.isnan(numeric.sigmoid(x)[0])
+        assert np.isnan(sigmoid(x)[0])
+
+    def test_dtypes(self):
+        ints = np.arange(-3, 4)
+        assert numeric.sigmoid(np.zeros(3, np.float32)).dtype == np.float32
+        assert numeric.sigmoid(np.zeros(3)).dtype == np.float64
+        assert sigmoid(np.zeros(3, np.float32)).dtype == np.float64
+        assert sigmoid(ints).dtype == np.float64
+        with default_dtype(np.float32):
+            assert numeric.sigmoid(ints).dtype == np.float32
+        with default_dtype(np.float64):
+            assert numeric.sigmoid(ints).dtype == np.float64
+
+    def test_scalar_and_2d_shapes(self):
+        assert numeric.sigmoid(np.float64(0.0)).shape == ()
+        assert sigmoid(np.zeros((3, 4))).shape == (3, 4)
 
 
 class TestStandardize:
