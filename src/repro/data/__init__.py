@@ -1,7 +1,7 @@
 """Datasets, feature schemas, encoders and synthetic worlds."""
 
 from repro.data.cold_start import zero_statistics
-from repro.data.dataset import Batch, FeatureTable, InteractionDataset
+from repro.data.dataset import Batch, FeatureTable, InteractionDataset, Side
 from repro.data.encoders import HashEncoder, StandardScaler, VocabEncoder
 from repro.data.io import (
     load_feature_table,
@@ -24,6 +24,7 @@ __all__ = [
     "Batch",
     "FeatureTable",
     "InteractionDataset",
+    "Side",
     "HashEncoder",
     "StandardScaler",
     "VocabEncoder",

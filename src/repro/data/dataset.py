@@ -5,20 +5,23 @@ Two containers cover the reproduction's needs:
 * :class:`FeatureTable` — a column store of per-entity features (one row per
   user, item or restaurant), used for entity catalogues such as the
   new-arrival pool or the active-user group.
-* :class:`InteractionDataset` — one row per (user, item) interaction with
-  all tower features materialised plus one or more label columns, used for
-  training and evaluation.
+* :class:`InteractionDataset` — one row per (user, item) interaction plus
+  one or more label columns, used for training and evaluation.  It is the
+  join the paper's samples are: each :class:`Side` is an entity table and
+  the row of it that every interaction reads, and feature columns are
+  gathered from those small tables only when read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.data.schema import FeatureSchema
 
-__all__ = ["FeatureTable", "Batch", "InteractionDataset"]
+__all__ = ["FeatureTable", "Batch", "Side", "InteractionDataset"]
 
 
 class FeatureTable:
@@ -105,51 +108,147 @@ class Batch:
             ) from None
 
 
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One entity table joined into an :class:`InteractionDataset`.
+
+    Dataset row ``i`` reads row ``rows[i]`` of ``table``, for every column
+    of the table; ``rows=None`` is the identity (row ``i`` of the table).
+    """
+
+    table: FeatureTable
+    rows: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.table) if self.rows is None else len(self.rows)
+
+    def take(self, positions: np.ndarray) -> "Side":
+        """The side read at ``positions`` of its rows (one index composition)."""
+        return Side(self.table, positions if self.rows is None else self.rows[positions])
+
+    def column(self, name: str) -> np.ndarray:
+        """One column at the side's rows (the table's own array for the identity)."""
+        column = self.table[name]
+        return column if self.rows is None else column[self.rows]
+
+    def gather(self, start: int, stop: int) -> Dict[str, np.ndarray]:
+        """Every column at rows ``start:stop`` (views for the identity)."""
+        columns = self.table.columns
+        if self.rows is None:
+            return {name: col[start:stop] for name, col in columns.items()}
+        rows = self.rows[start:stop]
+        return {name: col[rows] for name, col in columns.items()}
+
+
+class _Gathered(Mapping):
+    """A dataset's feature columns, each gathered on its first read."""
+
+    def __init__(self, side_of: Dict[str, Side]) -> None:
+        self._side_of = side_of
+        self._read: Dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        column = self._read.get(name)
+        if column is None:
+            column = self._read[name] = self._side_of[name].column(name)
+        return column
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._side_of
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._side_of)
+
+    def __len__(self) -> int:
+        return len(self._side_of)
+
+
 class InteractionDataset:
-    """User-item interaction samples with full tower features and labels.
+    """User-item interaction samples: labels plus the joined tower features.
 
     Parameters
     ----------
     schema:
         The feature schema describing every feature column.
     features:
-        Mapping name → per-row array; must cover every schema feature.
+        Either mapping name → per-row array (held as one :class:`Side` with
+        the identity index), or the :class:`Side` s whose columns together
+        cover every schema feature.
     labels:
         Mapping label name → per-row float array (e.g. ``{"ctr": y}`` or
         ``{"vppv": ..., "gmv": ...}``).
+
+    Entity columns are shared, not copied: subsets and batches read the
+    same arrays, so they must not be written in place once a dataset is
+    built on them.
     """
 
     def __init__(
         self,
         schema: FeatureSchema,
-        features: Dict[str, np.ndarray],
+        features: Union[Mapping[str, np.ndarray], Sequence[Side]],
         labels: Dict[str, np.ndarray],
     ) -> None:
         self.schema = schema
+        if isinstance(features, Mapping):
+            features = [Side(FeatureTable(dict(features)))]
+        self.sides = tuple(features)
+        if not self.sides:
+            raise ValueError("an InteractionDataset needs at least one side")
+        lengths = {len(side) for side in self.sides}
+        if len(lengths) != 1:
+            raise ValueError(f"sides disagree on the row count: {sorted(lengths)}")
+        self._n_rows = lengths.pop()
+        self._side_of: Dict[str, Side] = {}
+        for side in self.sides:
+            self._check_rows(side)
+            for name in side.table.columns:
+                if name in self._side_of:
+                    raise ValueError(f"column {name!r} appears in two sides")
+                self._side_of[name] = side
         expected = set(schema.all_column_names("user", "item_profile", "item_stat"))
-        missing = sorted(expected - set(features))
+        missing = sorted(expected - set(self._side_of))
         if missing:
             raise ValueError(f"features missing schema columns: {missing}")
-        self.table = FeatureTable(features)
         if not labels:
             raise ValueError("at least one label column is required")
         self.labels: Dict[str, np.ndarray] = {}
         for name, values in labels.items():
             values = np.asarray(values, dtype=np.float64)
-            if values.shape != (self.table.n_rows,):
+            if values.shape != (self._n_rows,):
                 raise ValueError(
-                    f"label {name!r} must have shape ({self.table.n_rows},), "
+                    f"label {name!r} must have shape ({self._n_rows},), "
                     f"got {values.shape}"
                 )
             self.labels[name] = values
 
+    @staticmethod
+    def _check_rows(side: Side) -> None:
+        rows = side.rows
+        if rows is None:
+            return
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(
+                f"side rows must be a 1-D integer array, got {rows.dtype} {rows.shape}"
+            )
+        if rows.size and (rows.min() < 0 or rows.max() >= len(side.table)):
+            raise ValueError(
+                f"side rows must lie in [0, {len(side.table)}), "
+                f"got [{rows.min()}, {rows.max()}]"
+            )
+
     def __len__(self) -> int:
-        return self.table.n_rows
+        return self._n_rows
 
     @property
-    def features(self) -> Dict[str, np.ndarray]:
-        """The underlying feature columns."""
-        return self.table.columns
+    def features(self) -> Mapping[str, np.ndarray]:
+        """The feature columns; each is gathered on its first read here."""
+        return _Gathered(self._side_of)
+
+    @property
+    def table(self) -> FeatureTable:
+        """Every feature column gathered into one table."""
+        return FeatureTable(dict(self.features))
 
     def label(self, name: str = "ctr") -> np.ndarray:
         """Return one label column."""
@@ -161,12 +260,12 @@ class InteractionDataset:
             ) from None
 
     def subset(self, indices: np.ndarray) -> "InteractionDataset":
-        """Return a row-subset dataset."""
-        indices = np.asarray(indices)
+        """Return a row-subset dataset sharing this one's entity tables."""
+        positions = np.arange(self._n_rows)[np.asarray(indices)]
         return InteractionDataset(
             self.schema,
-            {name: col[indices] for name, col in self.table.columns.items()},
-            {name: col[indices] for name, col in self.labels.items()},
+            [side.take(positions) for side in self.sides],
+            {name: col[positions] for name, col in self.labels.items()},
         )
 
     def iter_batches(
@@ -177,10 +276,9 @@ class InteractionDataset:
     ) -> Iterator[Batch]:
         """Yield mini-batches, shuffling when an ``rng`` is provided.
 
-        Every column is gathered into shuffled order *once* per epoch, and
-        each batch is a contiguous slice view of that copy — one fancy
-        gather per column per epoch instead of one per column per batch,
-        which dominates per-step time for small models.
+        The epoch's permutation is composed into each side's row index
+        once, and each batch then gathers its rows from the entity tables,
+        which are small enough to stay cache-resident.
 
         Parameters
         ----------
@@ -204,21 +302,28 @@ class InteractionDataset:
     def _batches(
         self, order: Optional[np.ndarray], batch_size: int, drop_last: bool
     ) -> Iterator[Batch]:
-        features, labels = self.table.columns, self.labels
+        sides, labels = self.sides, self.labels
         if order is not None:
-            features = {name: col[order] for name, col in features.items()}
+            sides = tuple(side.take(order) for side in sides)
             labels = {name: col[order] for name, col in labels.items()}
         n = len(self)
         for start in range(0, n, batch_size):
             stop = start + batch_size
             if drop_last and stop > n:
                 break
+            features: Dict[str, np.ndarray] = {}
+            for side in sides:
+                features.update(side.gather(start, stop))
             yield Batch(
-                {name: col[start:stop] for name, col in features.items()},
-                {name: col[start:stop] for name, col in labels.items()},
+                features, {name: col[start:stop] for name, col in labels.items()}
             )
 
     def feature_matrix(self, groups: Sequence[str]) -> np.ndarray:
         """Flat float matrix of all features in ``groups`` (for GBDT)."""
         names: List[str] = self.schema.feature_names(*groups)
-        return self.table.to_matrix(names)
+        if not names:
+            raise ValueError("feature_matrix needs at least one column name")
+        matrix = np.empty((self._n_rows, len(names)))
+        for j, name in enumerate(names):
+            matrix[:, j] = self._side_of[name].column(name)
+        return matrix

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import FeatureTable, InteractionDataset
+from repro.data.dataset import FeatureTable, InteractionDataset, Side
 from repro.data.schema import (
     GROUP_ITEM_PROFILE,
     GROUP_ITEM_STAT,
@@ -313,15 +313,13 @@ class ElemeWorld:
             rng,
         )
 
-        features: Dict[str, np.ndarray] = {}
-        for name in self.schema.feature_names(GROUP_USER):
-            features[name] = self.user_groups[name][group_idx]
-        for name in self.schema.feature_names(GROUP_ITEM_PROFILE, GROUP_ITEM_STAT):
-            features[name] = self.restaurants[name][restaurant_idx]
-
-        return InteractionDataset(
-            self.schema, features, {"vppv": vppv, "gmv": log_gmv}
-        )
+        group_names = self.schema.feature_names(GROUP_USER)
+        restaurant_names = self.schema.feature_names(GROUP_ITEM_PROFILE, GROUP_ITEM_STAT)
+        sides = [
+            Side(FeatureTable(self.user_groups.select(group_names)), group_idx),
+            Side(FeatureTable(self.restaurants.select(restaurant_names)), restaurant_idx),
+        ]
+        return InteractionDataset(self.schema, sides, {"vppv": vppv, "gmv": log_gmv})
 
     # ------------------------------------------------------------------
     def realized_outcomes(

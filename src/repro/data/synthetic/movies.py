@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import FeatureTable, InteractionDataset
+from repro.data.dataset import FeatureTable, InteractionDataset, Side
 from repro.data.schema import (
     GROUP_ITEM_PROFILE,
     GROUP_ITEM_STAT,
@@ -319,15 +319,15 @@ class MovieWorld:
         )
         labels = (rng.random(cfg.n_interactions) < sigmoid(logits)).astype(np.float64)
 
-        features: Dict[str, np.ndarray] = {}
-        for name in self.schema.all_column_names(GROUP_USER):
-            features[name] = self.users[name][user_indices]
-        for name in self.schema.all_column_names(GROUP_ITEM_PROFILE, GROUP_ITEM_STAT):
-            features[name] = self.movies[name][movie_indices]
-
+        user_names = self.schema.all_column_names(GROUP_USER)
+        movie_names = self.schema.all_column_names(GROUP_ITEM_PROFILE, GROUP_ITEM_STAT)
+        sides = [
+            Side(FeatureTable(self.users.select(user_names)), user_indices),
+            Side(FeatureTable(self.movies.select(movie_names)), movie_indices),
+        ]
         self.interaction_user_indices = user_indices
         self.interaction_movie_indices = movie_indices
-        return InteractionDataset(self.schema, features, {"ctr": labels})
+        return InteractionDataset(self.schema, sides, {"ctr": labels})
 
     # ------------------------------------------------------------------
     def active_user_group(self, fraction: float = 0.25) -> FeatureTable:

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import FeatureTable, InteractionDataset
+from repro.data.dataset import FeatureTable, InteractionDataset, Side
 from repro.data.schema import (
     GROUP_ITEM_PROFILE,
     GROUP_ITEM_STAT,
@@ -132,7 +132,11 @@ class TmallWorld:
         columns are present but zeroed, mirroring a serving-time feature
         join against an empty statistics store).
     interactions:
-        :class:`InteractionDataset` of labelled (user, item) samples.
+        :class:`InteractionDataset` of labelled (user, item) samples: the
+        join of ``users`` and ``items`` at the two index arrays below.
+    interaction_user_indices / interaction_item_indices:
+        The user and item row each interaction reads (the dataset's own
+        row indices, not copies).
     user_latents / item_latents / new_item_latents:
         Ground-truth latent vectors (hidden from models; used by the
         behaviour simulator and for diagnostics).
@@ -474,17 +478,16 @@ class TmallWorld:
         )
         labels = (rng.random(cfg.n_interactions) < probabilities).astype(np.float64)
 
-        features: Dict[str, np.ndarray] = {}
-        for name in self.schema.all_column_names(GROUP_USER):
-            features[name] = self.users[name][user_indices]
-        for name in self.schema.all_column_names(GROUP_ITEM_PROFILE, GROUP_ITEM_STAT):
-            features[name] = self.items[name][item_indices]
-
-        dataset = InteractionDataset(self.schema, features, {"ctr": labels})
-        # Keep row provenance for pairwise analyses.
+        user_names = self.schema.all_column_names(GROUP_USER)
+        item_names = self.schema.all_column_names(GROUP_ITEM_PROFILE, GROUP_ITEM_STAT)
+        sides = [
+            Side(FeatureTable(self.users.select(user_names)), user_indices),
+            Side(FeatureTable(self.items.select(item_names)), item_indices),
+        ]
+        # Row provenance for pairwise analyses: the sides' own index arrays.
         self.interaction_user_indices = user_indices
         self.interaction_item_indices = item_indices
-        return dataset
+        return InteractionDataset(self.schema, sides, {"ctr": labels})
 
     # ------------------------------------------------------------------
     def active_user_group(self, fraction: float = 0.25) -> FeatureTable:

@@ -9,10 +9,11 @@ backward emits one, :meth:`Tensor.backward` knows how to merge them with
 each other and with dense gradients, and the optimizers apply row-wise
 lazy updates when they see one (see ``docs/performance.md``).
 
-Deduplication of repeated ids uses an argsort + segment-sum
-(``np.add.reduceat`` over run boundaries) rather than ``np.add.at``; the
-scatter-add ufunc is an order of magnitude slower because it cannot
-vectorise potentially-colliding updates.
+Deduplication of repeated ids in a large vocabulary uses an argsort and
+gathers run leaders, scatter-adding only the few duplicate rows.  A table
+with no more rows than the lookups (a category or brand table hit by a
+whole batch) is instead summed densely with one flat ``np.add.at``, which
+needs no sort.
 
 The representation intentionally behaves like an ndarray where the rest of
 the codebase (gradient clipping, norm telemetry, tests) expects one:
@@ -93,7 +94,9 @@ class SparseGrad:
     def compact(self) -> "SparseGrad":
         """Sum duplicate row ids in place; idempotent and returns ``self``.
 
-        Sorts the ids, then handles the two regimes separately.  Large id
+        A table with no more rows than the gradient has lookups is summed
+        densely (:meth:`_compact_into_table`).  Otherwise it sorts the ids,
+        then handles the two regimes separately.  Large id
         vocabularies sampled by a small batch are *mostly collision-free*
         (512 draws from 200k ids repeat ~1 row), so the common case is a
         pure permutation: one gather, no summation.  When duplicates do
@@ -111,6 +114,8 @@ class SparseGrad:
         if self.indices.size == 0:
             self.compacted = True
             return self
+        if self.shape[0] <= self.indices.size:
+            return self._compact_into_table()
         order = np.argsort(self.indices, kind="stable")
         sorted_indices = self.indices[order]
         is_run_start = np.empty(sorted_indices.size, dtype=bool)
@@ -130,6 +135,28 @@ class SparseGrad:
                 leaders, segment_ids[duplicate_mask], sorted_rows[duplicate_mask]
             )
             self.rows = leaders
+        self.compacted = True
+        return self
+
+    def _compact_into_table(self) -> "SparseGrad":
+        """:meth:`compact` for a table no longer than the lookup list.
+
+        Sums every row into a flat ``-0.0`` table with one in-order
+        scatter-add, then keeps the rows some id touched.  Starting from
+        ``-0.0`` and adding in input order gives each row exactly the
+        sort path's sum (``-0.0 + x == x`` for every ``x``, ``-0.0``
+        included), with no sort.
+        """
+        dim = self.shape[1]
+        flat = np.full(self.shape[0] * dim, -0.0, dtype=self.rows.dtype)
+        np.add.at(  # repro-lint: disable=ATN003 -- the table has no more rows than the lookups scatter into it
+            flat,
+            (self.indices[:, None] * dim + np.arange(dim)).ravel(),
+            self.rows.ravel(),
+        )
+        present = np.flatnonzero(np.bincount(self.indices, minlength=self.shape[0]))
+        self.rows = flat.reshape(self.shape)[present]
+        self.indices = present.astype(self.indices.dtype, copy=False)
         self.compacted = True
         return self
 

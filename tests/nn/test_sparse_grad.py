@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.nn import check_gradients, embedding_lookup
 from repro.nn.layers.embedding import Embedding, EmbeddingBag
@@ -69,6 +72,67 @@ class TestSparseGradRepresentation:
         grad = SparseGrad.from_rows([0], rng.normal(size=(1, 2)), (2, 2))
         with pytest.raises(TypeError):
             grad * np.ones((2, 2))
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    """The raw bit patterns, so ``-0.0`` and ``0.0`` compare unequal."""
+    return array.view(np.uint32 if array.dtype == np.float32 else np.uint64)
+
+
+def _compact_both_ways(ids, rows, vocab):
+    """``compact`` on the dense-table path and on the sort path."""
+    table = SparseGrad((vocab, rows.shape[1]), ids.copy(), rows.copy()).compact()
+    # The same lookups against a taller table take the sort path; the
+    # rows it keeps are the same ids with the same sums.
+    tall = SparseGrad((ids.size + 1, rows.shape[1]), ids.copy(), rows.copy()).compact()
+    return table, tall
+
+
+class TestCompactPaths:
+    """The dense-table path of ``compact`` equals the sort path bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.integers(0, 24),
+        st.data(),
+    )
+    def test_matches_sort_path(self, dtype, vocab, dim, extra, data):
+        lookups = vocab + extra  # never fewer lookups than table rows
+        ids = data.draw(arrays(np.int64, lookups, elements=st.integers(0, vocab - 1)))
+        width = 32 if dtype == np.float32 else 64
+        rows = data.draw(
+            arrays(
+                dtype,
+                (lookups, dim),
+                elements=st.one_of(
+                    st.sampled_from([-0.0, 0.0]), st.floats(-1e3, 1e3, width=width)
+                ),
+            )
+        )
+        table, tall = _compact_both_ways(ids, rows, vocab)
+        assert table.compacted
+        assert table.rows.dtype == dtype and table.indices.dtype == ids.dtype
+        np.testing.assert_array_equal(table.indices, tall.indices)
+        np.testing.assert_array_equal(_bits(table.rows), _bits(tall.rows))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_lookups_unsorted_negative_zero(self, dtype):
+        ids = np.array([2, 0, 2])
+        rows = np.array([[-0.0, 1.5], [-0.0, -0.0], [0.0, -2.0]], dtype=dtype)
+        table, tall = _compact_both_ways(ids, rows, vocab=3)
+        np.testing.assert_array_equal(table.indices, [0, 2])
+        np.testing.assert_array_equal(_bits(table.rows), _bits(tall.rows))
+        assert np.signbit(table.rows[0]).all()  # -0.0 + -0.0 stays -0.0
+
+    def test_dense_table_path_sums_repeats(self):
+        ids = np.array([1, 0, 1, 1])
+        rows = np.array([[1.0], [2.0], [3.0], [-0.0]])
+        grad = SparseGrad((2, 1), ids, rows).compact()
+        np.testing.assert_array_equal(grad.indices, [0, 1])
+        np.testing.assert_array_equal(grad.rows, [[2.0], [4.0]])
 
 
 class TestSparseBackward:
