@@ -1,7 +1,9 @@
-"""Does a smaller process heap make ``recommend_for_user`` slower?
+"""Does a smaller process heap make ``recommend_for_user``'s search slower?
 
-The serving engine's recommend path is timed in one process at two heap
-sizes, in interleaved rounds:
+The search a recommendation runs -- the brute-force index scan for the
+request's query -- is timed in one process at two heap sizes, in
+interleaved rounds.  (The engine serves a repeat user from a cached
+top-k, so timing ``recommend_for_user`` itself would time cache hits.)
 
 * ``lean``: the heap the program leaves now, where a Tmall world's
   interactions are row indices into its user and item tables;
@@ -10,9 +12,9 @@ sizes, in interleaved rounds:
   int64 array per column, about 72 MB for the default world).
 
 Each round runs both arms, in an order that alternates from round to
-round, and each arm serves the same requests: users drawn by activity, a
-20 000-item brute-force catalogue and the telemetry session the
-``serve-browse`` benchmark workload arms.  An arm reports the median call
+round, and each arm serves the same requests: the queries of users drawn
+by activity, a 20 000-item brute-force catalogue and the telemetry
+session the ``serve-browse`` benchmark workload arms.  An arm reports the median call
 time of each round, and the minor page faults (``ru_minflt``) per call.
 The verdict is the median over rounds of ``ballast / lean`` of the same
 round, with a bootstrap 95% CI.
@@ -46,6 +48,7 @@ from repro.core import ATNN
 from repro.data import GROUP_ITEM_PROFILE, GROUP_USER, FeatureTable, train_test_split
 from repro.data.synthetic import TmallConfig, generate_tmall_world
 from repro.experiments import get_preset
+from repro.nn.tensor import no_grad
 from repro.obs import TelemetrySession
 from repro.serving import EngineConfig, RealTimeEngine
 
@@ -63,7 +66,8 @@ K = 10
 
 
 def _engine(preset: dict) -> tuple:
-    """An untrained ATNN serving a resampled catalogue, and its request rows."""
+    """An untrained ATNN serving a resampled catalogue, and its requests'
+    queries."""
     world_preset = get_preset(preset["world"])
     source = generate_tmall_world(
         TmallConfig(n_users=500, n_items=100, n_new_items=preset["base_items"],
@@ -84,11 +88,14 @@ def _engine(preset: dict) -> tuple:
         len(source.users) - 1,
     )
     names = source.schema.all_column_names(GROUP_USER)
-    requests = [
-        {name: source.users[name][user : user + 1] for name in names}
-        for user in users.tolist()
-    ]
-    return engine, requests
+    model.eval()
+    queries = []
+    with no_grad():  # one row at a time, as the engine runs the tower
+        for user in users.tolist():
+            row = {name: source.users[name][user : user + 1] for name in names}
+            vector = model.user_vectors(row).data[0]
+            queries.append(model.scoring_head.weight.data * vector)
+    return engine, queries
 
 
 def _ballast(world_preset_name: str):
@@ -102,33 +109,34 @@ def _ballast(world_preset_name: str):
     return materialise
 
 
-def _timed(engine, requests) -> tuple:
-    """Per-call seconds of one pass over ``requests`` and its minor faults."""
+def _timed(engine, queries) -> tuple:
+    """Per-call seconds of one pass over ``queries`` and its minor faults."""
     clock = time.perf_counter
-    seconds = np.empty(len(requests))
+    seconds = np.empty(len(queries))
     gc.collect()
     gc.disable()
     try:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for i, request in enumerate(requests):
+        search = engine.index.search
+        for i, query in enumerate(queries):
             start = clock()
-            engine.recommend_for_user(request, K)
+            search(query, K)
             seconds[i] = clock() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
         gc.enable()
-    return seconds, faults / len(requests)
+    return seconds, faults / len(queries)
 
 
 def run(preset_name: str) -> str:
     preset = PRESETS[preset_name]
-    engine, requests = _engine(preset)
+    engine, queries = _engine(preset)
     materialise = _ballast(preset["world"])
     medians: Dict[str, List[float]] = {arm: [] for arm in ARMS}
     faults: Dict[str, List[float]] = {arm: [] for arm in ARMS}
     with TelemetrySession(profile_autograd=False, monitor=True, slo=True, flight=True):
-        _timed(engine, requests)  # warm the user-vector cache and first-call paths
-        _, first_faults = _timed(engine, requests)  # before any ballast existed
+        _timed(engine, queries)  # warm the first-call paths
+        _, first_faults = _timed(engine, queries)  # before any ballast existed
         ballast_mb = 0.0
         for round_index in range(preset["rounds"]):
             order = ARMS if round_index % 2 == 0 else ARMS[::-1]
@@ -137,7 +145,7 @@ def run(preset_name: str) -> str:
                 ballast_mb = max(ballast_mb, sum(
                     col.nbytes for columns in held for col in columns.values()
                 ) / 2**20)
-                seconds, per_call = _timed(engine, requests)
+                seconds, per_call = _timed(engine, queries)
                 del held
                 medians[arm].append(float(np.median(seconds)))
                 faults[arm].append(per_call)
@@ -147,8 +155,8 @@ def run(preset_name: str) -> str:
     resample = np.random.default_rng(0).integers(0, rounds, size=(2_000, rounds))
     low, high = np.percentile(np.median(ratios[resample], axis=1), (2.5, 97.5))
     lines = [
-        f"recommend_for_user at two heap sizes ({preset_name} preset: "
-        f"{preset['catalogue']} items, k={K}, {len(requests)} calls per arm, "
+        f"recommend_for_user's index search at two heap sizes ({preset_name} "
+        f"preset: {preset['catalogue']} items, k={K}, {len(queries)} calls per arm, "
         f"{rounds} rounds, arm order alternating)",
         f"  lean    : {np.median(lean) * 1e3:.3f} ms median of round medians, "
         f"{np.median(faults['lean']):.2f} minor faults per call",

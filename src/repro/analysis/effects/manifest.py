@@ -36,7 +36,11 @@ __all__ = [
 ]
 
 _METRIC_METHODS = ("counter", "gauge", "histogram")
-_SPAN_CALLEES = ("maybe_span", "span")
+# ``maybe_span(...)`` anywhere; ``.span(...)`` only on a receiver named as
+# a tracer or span recorder (``tracer.span``, ``self._recorder.span``,
+# ``Tracer().span``), so another class's ``span`` method is no span.
+_SPAN_FUNCTION = "maybe_span"
+_SPAN_RECEIVER = re.compile(r"tracer|recorder", re.IGNORECASE)
 
 
 @dataclass
@@ -109,15 +113,31 @@ def _name_from_arg(node: ast.AST) -> Optional[Tuple[str, bool]]:
     return None
 
 
+def _receiver_name(node: ast.expr) -> str:
+    """The last name in a call's receiver: ``self._tracer`` -> ``_tracer``,
+    ``Tracer()`` -> ``Tracer``; empty for anything else."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
+
+
 def _classify_call(node: ast.Call) -> Optional[str]:
     func = node.func
     if isinstance(func, ast.Attribute):
         if func.attr in _METRIC_METHODS:
             return func.attr
-        if func.attr in _SPAN_CALLEES:
+        if func.attr == "span" and _SPAN_RECEIVER.search(
+            _receiver_name(func.value)
+        ):
+            return "span"
+        if func.attr == _SPAN_FUNCTION:
             return "span"
         return None
-    if isinstance(func, ast.Name) and func.id in _SPAN_CALLEES:
+    if isinstance(func, ast.Name) and func.id == _SPAN_FUNCTION:
         return "span"
     return None
 

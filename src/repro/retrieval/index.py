@@ -64,7 +64,7 @@ class MIPSIndex:
 
     Ties in score go to the lower id, both for the last place in the
     top-k and for the order within it — the rule
-    ``RealTimeEngine``'s cached-order merge follows, where older slots
+    ``RealTimeEngine``'s cached top-k merge follows, where older slots
     win ties.  Vectors must be finite with every entry within float32
     range; anything else is a ``ValueError``.
     """

@@ -31,7 +31,7 @@ from repro.data.schema import GROUP_ITEM_PROFILE, GROUP_ITEM_STAT, GROUP_USER
 from repro.nn.tensor import get_default_dtype, no_grad
 from repro.obs.context import current_telemetry, request_scope
 from repro.obs.tracing import maybe_span
-from repro.retrieval import MIPSIndex, exact_scores, make_index
+from repro.retrieval import BruteForceIndex, MIPSIndex, exact_scores, make_index
 from repro.serving.events import KIND_CODES, Event, EventKind, event_columns
 from repro.serving.feature_store import ItemStatisticsStore
 from repro.utils.buffers import grow_rows
@@ -40,9 +40,17 @@ __all__ = ["EngineConfig", "RealTimeEngine"]
 
 _VIEW = KIND_CODES[EventKind.VIEW]
 
-# Most user vectors one engine keeps; the cache is cleared when full.
-# The benchmark's workloads see at most about 1.5k distinct users.
+# Most users one engine keeps (a user vector and its cached top-k each);
+# the cache is cleared when full.  The benchmark's workloads see at most
+# about 1.5k distinct users.
 _USER_VECTOR_CACHE_SIZE = 4096
+
+# A cached top-k takes in the rows appended since it was filled by a
+# merge while they are at most this share of the catalogue; past it the
+# engine searches the index again.  Merging an eighth costs about half a
+# search (dim 16, k 10: 60 vs 135 us at 20k rows, 24 vs 30 us at 1.5k);
+# docs/performance.md, "Repeat users cost a merge".
+_MAX_MERGE_SHARE = 1 / 8
 
 
 @contextmanager
@@ -69,6 +77,31 @@ def _append_rows(buf: np.ndarray, size: int, rows: np.ndarray) -> np.ndarray:
     buf = grow_rows(buf, size, stop)
     buf[size:stop] = rows
     return buf
+
+
+@dataclass
+class _TopK:
+    """One query's top-k ids, kept for reuse (see ``RealTimeEngine._search``).
+
+    ``scores`` are the float64 :func:`~repro.retrieval.exact_scores` of
+    ``ids`` against ``query`` as the index rounds it.  ``size`` is the
+    index's row count and ``epoch`` the engine's index-write epoch when
+    the entry was filled.
+    """
+
+    query: np.ndarray
+    ids: np.ndarray
+    scores: np.ndarray
+    size: int
+    epoch: int
+
+
+@dataclass
+class _User:
+    """A cached user: the tower's output and the top-k of its query."""
+
+    vector: np.ndarray
+    top: Optional[_TopK] = None
 
 
 @dataclass(frozen=True)
@@ -170,23 +203,23 @@ class RealTimeEngine:
         # Slots at or past warm_view_threshold, counted as ingest sees
         # them cross it (views only grow, and arrivals start at zero).
         self._n_warm = 0
-        # Cached top-k order: the best `_order_k` slots from the MIPS
-        # index and their inner products with the popularity query,
-        # serving any `k <= _order_k` as a slice.
-        self._order: Optional[np.ndarray] = None
-        self._order_scores: Optional[np.ndarray] = None
-        self._order_k = 0
+        # The popularity query's cached top-k (see ``_search``), and the
+        # index-write epoch: it advances whenever an index row is
+        # rewritten or the index replaced, never on an append.
+        self._popular: Optional[_TopK] = None
         self._index: Optional[MIPSIndex] = None
+        self._index_epoch = 0
         self._events_seen = 0
         self._refreshes = 0
-        # Exact user-vector cache: user row key -> user tower output.  It
-        # is valid while ``_user_stamp`` -- the default dtype the tower
-        # assembles numerics in and the version of every user-tower
-        # parameter -- still matches.  The parameters are held from here
-        # on, so a request never walks the module tree.
+        # Exact user cache: user row key -> user tower output and the
+        # cached top-k of its query.  The vectors are valid while
+        # ``_user_stamp`` -- the default dtype the tower assembles
+        # numerics in and the version of every user-tower parameter --
+        # still matches.  The parameters are held from here on, so a
+        # request never walks the module tree.
         self._user_columns = model.schema.all_column_names(GROUP_USER)
         self._user_params = model.user_tower.parameters()
-        self._user_vectors: Dict[tuple, np.ndarray] = {}
+        self._users: Dict[tuple, _User] = {}
         self._user_stamp: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -215,9 +248,9 @@ class RealTimeEngine:
                 )
                 self._dirty.update(touched.tolist())
             self._fresh = False
-            # The cached top-k order is NOT invalidated here: the next
-            # refresh drops it only if scores actually changed (events on
-            # cold slots leave generator scores — and the order — intact).
+            # Cached top-k lists stay: only a refresh that rewrites index
+            # rows ends them (events on cold slots leave generator vectors
+            # -- and the rows -- intact).
             ctx.note("events_applied", applied)
             ctx.note("dirty_slots", len(self._dirty))
             telemetry = current_telemetry()
@@ -399,8 +432,8 @@ class RealTimeEngine:
                 self._item_buf = self._item_vectors = item_vectors
         # Index maintenance: only the first build trains a quantizer.  A
         # later full pass rewrites just the changed rows of the live index
-        # in place, and a dirty-slot pass just the touched rows.  The
-        # cached top-k order is dropped only when scores actually changed.
+        # in place, and a dirty-slot pass just the touched rows.  Every
+        # row write advances the epoch, which ends the cached top-k lists.
         if full and (
             self._index is None or self._index.dim != item_vectors.shape[1]
         ):
@@ -408,13 +441,13 @@ class RealTimeEngine:
                 item_vectors.shape[1], item_vectors.dtype
             )
             self._index.rebuild(item_vectors)
+            self._index_epoch += 1
         elif full and changed.size:
             self._index.update(changed, item_vectors[changed])
+            self._index_epoch += 1
         elif not full and stale.size:
             self._index.update(stale, item_vectors[stale])
-        if full or stale.size:
-            self._order = self._order_scores = None
-            self._order_k = 0
+            self._index_epoch += 1
         self._dirty.clear()
         self._fresh = True
         self._refreshes += 1
@@ -472,26 +505,26 @@ class RealTimeEngine:
         """The ``k`` most popular catalogue slots, best first.
 
         Served through the MIPS index (``config.index_kind``): exact with
-        the brute-force index, approximate-but-fast with IVF.  The order
-        for the largest ``k`` seen since scores last changed is cached,
-        with the inner products the index returned, so any
-        ``k <= cached_k`` costs a slice.  A refresh that changes scores
-        drops the cache; :meth:`add_arrivals` merges the new rows into it.
+        the brute-force index, approximate-but-fast with IVF.  The engine
+        keeps the last answer and serves any ``k`` no larger than the
+        cached one from it, merging in the slots :meth:`add_arrivals`
+        appended since, until a refresh rewrites an index row or the
+        scoring head changes.  With the brute-force index the answer
+        equals ``index.search(popularity query, k)`` bit for bit (see
+        :meth:`recommend_for_user`); with IVF it is the search's answer
+        when the entry was filled plus the exactly ranked arrivals, so
+        the merge can only add recall.
         """
         with request_scope("top_k") as ctx:
             scores = self.scores()
             if not 1 <= k <= scores.size:
                 raise ValueError(f"k must be in [1, {scores.size}], got {k}")
-            hit = self._order is not None and k <= self._order_k
             ctx.note("k", int(k))
+            with maybe_span("engine.rank"):
+                served, self._popular, hit = self._search(
+                    self._popularity_query(), k, self._popular, approximate=True
+                )
             ctx.note("order_cache_hit", hit)
-            if not hit:
-                with maybe_span("engine.rank"):
-                    self._order, self._order_scores = self._index.search(
-                        self._popularity_query(), k
-                    )
-                    self._order_k = k
-            served = self._order[:k]
             ctx.note("served_slots", int(served.size))
             return served
 
@@ -528,10 +561,9 @@ class RealTimeEngine:
         must not change.  A :class:`FeatureTable` taken from ``catalogue``
         before the call keeps its rows and length.
 
-        A cached top-k order survives: the new rows are scored against
-        the popularity query and the best ``k`` of the cached order and
-        the new rows are kept, which with the brute-force index is the
-        exact top-k of the grown catalogue.
+        Cached top-k lists survive: an append writes no existing index
+        row.  The promotion list merges the new rows in here; a cached
+        user takes them in at their next request.
         """
         with request_scope("add_arrivals") as ctx:
             n_new = len(arrivals)
@@ -578,8 +610,17 @@ class RealTimeEngine:
                         "index ids drifted from catalogue slots: "
                         f"{assigned[0]} != {start_slot}"
                     )
-                if self._order is not None:
-                    self._merge_into_order(slots, vectors)
+                popular = self._popular
+                if popular is not None:
+                    # The promotion list takes the arrivals in here, so
+                    # the next tick serves it as a slice.
+                    self._popular = (
+                        self._merge_appended(popular)
+                        if self._serves(
+                            popular, self._popularity_query(), popular.ids.size
+                        )
+                        else None
+                    )
             ctx.note("items_added", int(n_new))
             ctx.note("catalogue_size", len(self.catalogue))
             telemetry = current_telemetry()
@@ -592,27 +633,78 @@ class RealTimeEngine:
                 )
             return slots
 
-    def _merge_into_order(self, slots: np.ndarray, vectors: np.ndarray) -> None:
-        """Keep the best ``_order_k`` of the cached order and new rows.
+    def _search(
+        self,
+        query: np.ndarray,
+        k: int,
+        cached: Optional[_TopK],
+        approximate: bool = False,
+    ) -> Tuple[np.ndarray, Optional[_TopK], bool]:
+        """The top-``k`` ids for ``query``, the entry to keep for it, and
+        whether ``cached`` served them.
 
-        New rows are scored as the brute-force index ranks them:
-        :func:`~repro.retrieval.index.exact_scores` of the rows and the
-        popularity query as stored in the index dtype, returned in that
-        dtype.  Nothing else changed since the cache was filled (a score
-        change drops it), and the stable sort lets older slots win ties
-        as the index does, so with a float64 brute-force index the merge
-        is the exact top-k of the grown catalogue; with IVF it can only
-        add recall.
+        An entry serves a request while its query is equal, the
+        index-write epoch is unchanged and ``k`` is no larger than the
+        cached one.  No row it ranked has changed since, so the top-k is
+        among its ids and the rows appended since.  Those rows get the
+        brute-force index's ranking score (:func:`exact_scores` against
+        the query as the index rounds it) and are merged in by its tie
+        rule, higher score then lower id: with the brute-force index the
+        result is ``index.search(query, k)`` bit for bit.  Past
+        ``_MAX_MERGE_SHARE`` of the catalogue appended, the index is
+        searched again.  An IVF answer is cached only when
+        ``approximate`` allows it, since its merge is not IVF's search.
+        A miss keeps the float64 scores a brute-force search returned.
         """
-        dtype = self._index.dtype
-        query = np.asarray(self._popularity_query(), dtype=dtype)
-        fresh = exact_scores(np.asarray(vectors, dtype=dtype), query)
-        ids = np.concatenate([self._order, slots])
-        scores = np.concatenate(
-            [self._order_scores, fresh.astype(dtype, copy=False)]
+        index = self._index
+        exact = isinstance(index, BruteForceIndex)
+        if not (exact or approximate):
+            return index.search(query, k)[0], None, False
+        hit = self._serves(cached, query, k)
+        if hit:
+            entry = self._merge_appended(cached)
+        else:
+            ids, scores = index.search(query, k)
+            if not exact or scores.dtype != np.float64:
+                # IVF scores by BLAS, and a float32 index rounds its scores.
+                scores = exact_scores(
+                    self._item_vectors[ids], np.asarray(query, dtype=index.dtype)
+                )
+            entry = _TopK(query, ids, scores, index.ntotal, self._index_epoch)
+        # A copy: the caller owns what it is handed, the cache its entry.
+        return entry.ids[:k].copy(), entry, hit
+
+    def _serves(self, cached: Optional[_TopK], query: np.ndarray, k: int) -> bool:
+        """Whether ``cached`` answers ``query`` for ``k`` once the rows
+        appended since are merged in."""
+        n = self._index.ntotal
+        return (
+            cached is not None
+            and cached.epoch == self._index_epoch
+            and k <= cached.ids.size
+            and n - cached.size <= _MAX_MERGE_SHARE * n
+            and np.array_equal(cached.query, query)
         )
-        best = np.argsort(-scores, kind="stable")[: self._order_k]
-        self._order, self._order_scores = ids[best], scores[best]
+
+    def _merge_appended(self, cached: _TopK) -> _TopK:
+        """``cached`` with the rows appended since it was filled merged in."""
+        n = self._index.ntotal
+        if cached.size == n:
+            return cached
+        # The engine's item vectors are the index rows, in its dtype.
+        fresh = exact_scores(
+            self._item_vectors[cached.size :],
+            np.asarray(cached.query, dtype=self._index.dtype),
+        )
+        # A row below the cached k-th score cannot enter.
+        enter = np.flatnonzero(fresh >= cached.scores[-1])
+        ids = np.concatenate([cached.ids, enter + cached.size])
+        scores = np.concatenate([cached.scores, fresh[enter]])
+        # Cached ids are below every appended one and tied ones are in id
+        # order, as are the appended: a stable sort gives a tie to the
+        # lower id.
+        best = np.argsort(-scores, kind="stable")[: cached.ids.size]
+        return _TopK(cached.query, ids[best], scores[best], n, cached.epoch)
 
     def _user_row(
         self, user_features: Dict[str, np.ndarray]
@@ -661,8 +753,11 @@ class RealTimeEngine:
 
         A user row served before, under the same user-tower weights and
         default dtype, reuses its user vector instead of running the
-        tower again, so repeat users cost one search.  The reuse is
-        exact: the result equals the uncached one bit for bit.
+        tower again.  With the brute-force index it also reuses its last
+        answer while no refresh rewrote an index row: for any ``k`` no
+        larger than the cached one, a repeat user costs a merge of the
+        slots appended since.  Both reuses are exact: the result equals
+        the uncached ``index.search`` bit for bit.
         """
         # No enclosing engine.recommend span: the request scope already
         # times the whole request, and this path runs hot enough that a
@@ -681,28 +776,33 @@ class RealTimeEngine:
                 [param.version for param in self._user_params],
             )
             if stamp != self._user_stamp:
-                self._user_vectors.clear()
+                self._users.clear()
                 self._user_stamp = stamp
-            user_vector = self._user_vectors.get(key)
-            hit = user_vector is not None
-            ctx.note("user_vector_cache_hit", hit)
-            if not hit:
+            user = self._users.get(key)
+            vector_hit = user is not None
+            ctx.note("user_vector_cache_hit", vector_hit)
+            if user is None:
                 with _inference(self.model), maybe_span("user_tower"):
-                    user_vector = self.model.user_vectors(columns).data[0]
+                    user = _User(self.model.user_vectors(columns).data[0])
                 if key is not None:
-                    if len(self._user_vectors) >= _USER_VECTOR_CACHE_SIZE:
-                        self._user_vectors.clear()
-                    self._user_vectors[key] = user_vector
+                    if len(self._users) >= _USER_VECTOR_CACHE_SIZE:
+                        self._users.clear()
+                    self._users[key] = user
             head = self.model.scoring_head
             # Personalised top-k is a MIPS against this user's transformed
             # vector; bias + sigmoid are monotone so ranking by raw inner
             # product is the ranking by probability.
-            top, _ = self._index.search(head.weight.data * user_vector, k)
+            top, user.top, hit = self._search(
+                head.weight.data * user.vector, k, user.top
+            )
+            ctx.note("result_cache_hit", hit)
             registry = current_telemetry().registry
             if registry is not None:
                 registry.counter("engine.recommend_requests").inc()
-                if hit:
+                if vector_hit:
                     registry.counter("engine.user_vector_hits").inc()
+                if hit:
+                    registry.counter("engine.recommend_result_hits").inc()
                 registry.histogram("engine.recommend_seconds").observe(
                     time.perf_counter() - start
                 )

@@ -419,6 +419,30 @@ def test_eff007_flags_documented_name_with_wrong_kind_or_gone(tmp_path):
     assert [d.code for d in diagnostics] == ["EFF007", "EFF007"]
 
 
+def test_manifest_counts_span_only_on_a_tracer_or_recorder(tmp_path):
+    manifest, diagnostics = _manifest_for(tmp_path, """
+        class Side:
+            def span(self, start, stop):
+                return stop - start
+
+        def report(side, tracer, self, start):
+            side.span(start, 2)
+            Side().span("not.a.span", 3)
+            with tracer.span("work.tracer"):
+                pass
+            with self._recorder.span("work.recorder"):
+                pass
+            with Tracer().span("work.fresh"):
+                pass
+            with maybe_span("work.maybe"):
+                pass
+    """)
+    assert diagnostics == []
+    assert sorted(name for name, _ in manifest.entries) == [
+        "work.fresh", "work.maybe", "work.recorder", "work.tracer",
+    ]
+
+
 def test_manifest_dynamic_prefix_covers_documented_names(tmp_path):
     manifest, diagnostics = _manifest_for(
         tmp_path,

@@ -275,12 +275,12 @@ class TestUserVectorCache:
 
     @pytest.fixture
     def served(self, cached_engine, monkeypatch):
-        """Every query the engine searches its index with, and how many
-        times it runs the user tower."""
+        """Every query the engine searches its index with, how many times
+        it runs the user tower, and the index's own (unspied) search."""
         log = {"queries": [], "tower_calls": 0}
         cached_engine.scores()
         index = cached_engine.index
-        search = index.search
+        search = log["search"] = index.search
 
         def spy_search(query, k):
             log["queries"].append(np.array(query, copy=True))
@@ -298,15 +298,14 @@ class TestUserVectorCache:
         return log
 
     def _expect(self, engine, row, served, k=5):
-        """Serve ``row``; assert it equals the uncached answer bit for bit."""
+        """Serve ``row``; assert it equals the answer of an engine with no
+        cache -- the tower run from scratch, then one index search -- bit
+        for bit."""
         model = engine.model
         vector = _uncached_vector(model, row)
         query = model.scoring_head.weight.data * vector
         top = engine.recommend_for_user(row, k=k)
-        got = served["queries"][-1]
-        assert got.dtype == query.dtype
-        np.testing.assert_array_equal(got, query)
-        np.testing.assert_array_equal(top, engine.index.search(query, k)[0])
+        np.testing.assert_array_equal(top, served["search"](query, k)[0])
 
     def test_replay_with_repeat_users_matches_uncached_tower(
         self, cached_engine, served, tiny_tmall_world, rng
@@ -320,8 +319,12 @@ class TestUserVectorCache:
                 )
         distinct = np.unique(users).size
         assert served["tower_calls"] == distinct
+        # Nothing was written to the index: a repeat user sends no query.
+        assert len(served["queries"]) == distinct
         hits = registry.counter("engine.user_vector_hits").value
         assert hits == users.size - distinct
+        results = registry.counter("engine.recommend_result_hits").value
+        assert results == users.size - distinct
         assert registry.counter("engine.recommend_requests").value == users.size
 
     @pytest.mark.parametrize(
@@ -388,13 +391,17 @@ class TestUserVectorCache:
         rows.append(reinterpreted)
         for row in rows + rows:
             self._expect(engine, row, served)
+        # One tower run and one search per key, even for the two rows
+        # whose values (and so queries) are equal.
         assert served["tower_calls"] == 3
+        assert len(served["queries"]) == 3
         # An object column's bytes are pointers, not values: never cached.
         boxed = dict(rows[1])
         boxed["user_activity"] = rows[1]["user_activity"].astype(object)
         for _ in range(2):
             self._expect(engine, boxed, served)
         assert served["tower_calls"] == 5
+        assert len(served["queries"]) == 5
 
     def test_cache_is_cleared_at_the_bound(
         self, cached_engine, served, tiny_tmall_world, monkeypatch
@@ -406,7 +413,7 @@ class TestUserVectorCache:
         rows = [_user_row(tiny_tmall_world, user) for user in range(4)]
         for row in rows:
             engine.recommend_for_user(row, k=5)
-            assert len(engine._user_vectors) <= 3
+            assert len(engine._users) <= 3
         assert served["tower_calls"] == 4
         engine.recommend_for_user(rows[3], k=5)  # kept after the clear
         assert served["tower_calls"] == 4
@@ -420,7 +427,7 @@ class TestUserVectorCache:
         engine = cached_engine
         row = _user_row(tiny_tmall_world, 2)
         engine.recommend_for_user(row, k=5)
-        cache = dict(engine._user_vectors)
+        cache = dict(engine._users)
         stamp = engine._user_stamp
         missing = dict(_user_row(tiny_tmall_world, 9))
         del missing["user_age_bucket"]
@@ -436,8 +443,8 @@ class TestUserVectorCache:
             engine.recommend_for_user(_user_row(tiny_tmall_world, 9), k=0)
         assert served["tower_calls"] == 1
         assert engine._user_stamp is stamp
-        assert engine._user_vectors.keys() == cache.keys()
-        assert all(engine._user_vectors[key] is cache[key] for key in cache)
+        assert engine._users.keys() == cache.keys()
+        assert all(engine._users[key] is cache[key] for key in cache)
 
 
 class TestIncrementalRefresh:
@@ -509,65 +516,70 @@ class TestTopKCache:
             engine.top_k(7), engine.top_promotion_candidates(7)
         )
 
-    def test_smaller_k_served_from_cached_order(self, engine):
+    @pytest.fixture
+    def searches(self, engine, monkeypatch):
+        """The queries and ``k`` the engine searches its index with."""
+        engine.scores()
+        log = []
+        search = engine.index.search
+        monkeypatch.setattr(
+            engine.index,
+            "search",
+            lambda query, k: log.append((query, k)) or search(query, k),
+        )
+        return log
+
+    def test_smaller_k_served_from_cached_order(self, engine, searches):
         order_9 = engine.top_k(9)
-        cached = engine._order
-        assert cached is not None and engine._order_k == 9
         top_3 = engine.top_k(3)
-        assert engine._order is cached  # k <= cached_k: pure slice
+        assert len(searches) == 1  # k <= cached k: a slice, no search
         np.testing.assert_array_equal(top_3, order_9[:3])
 
-    def test_larger_k_recomputes(self, engine):
+    def test_larger_k_recomputes(self, engine, searches):
         engine.top_k(3)
-        cached = engine._order
         engine.top_k(9)
-        assert engine._order is not cached
-        assert engine._order_k == 9
+        assert [k for _, k in searches] == [3, 9]
+        engine.top_k(9)
+        assert len(searches) == 2
 
     def test_order_invalidated_by_warm_dirty_refresh(
-        self, engine, tiny_tmall_world, rng
+        self, engine, searches, tiny_tmall_world, rng
     ):
         engine.top_k(3)
         events = generate_event_stream(
             tiny_tmall_world, np.array([3]), n_events=200, rng=rng
         )
         engine.ingest(events)
-        engine.scores()  # partial refresh re-scores slot 3
-        assert engine._order is None  # invalidated: scores changed
-        engine.top_k(3)
-        assert engine._order is not None
+        engine.scores()  # partial refresh rewrites slot 3's index row
+        top = engine.top_k(3)
+        assert len(searches) == 2  # the rewrite ended the cached order
+        np.testing.assert_array_equal(
+            top, engine.index.search(engine._popularity_query(), 3)[0]
+        )
 
-    def test_order_survives_cold_only_ingest(self, engine, tiny_tmall_world):
+    def test_order_survives_cold_only_ingest(self, engine, searches):
         """Events below the warm threshold leave scores — and the cached
         top-k order — untouched."""
-        engine.top_k(5)
-        cached = engine._order
+        first = engine.top_k(5)
         engine.ingest([Event(EventKind.VIEW, item_id=6, user_id=0, timestamp=0.0)])
         engine.scores()  # refresh runs, but no slot was re-scored
-        assert engine._order is cached
+        np.testing.assert_array_equal(engine.top_k(5), first)
+        assert len(searches) == 1
 
     def test_order_survives_arrivals_and_admits_a_better_item(
-        self, engine, monkeypatch
+        self, engine, searches
     ):
-        """add_arrivals merges new rows into the cached order, so a new
-        item scoring above the k-th enters it without an index search."""
+        """New rows merge into the cached order, so a new item scoring
+        above the k-th enters it without an index search."""
         top = engine.top_k(5)
         names = engine.model.schema.all_column_names("item_profile")
         # A copy of the best item scores with it, above the 5th.
         copy = type(engine.catalogue)(
             {name: engine.catalogue[name][top[:1]] for name in names}
         )
-        searches = []
-        search = engine.index.search
-        monkeypatch.setattr(
-            engine.index,
-            "search",
-            lambda *args: searches.append(args) or search(*args),
-        )
         (slot,) = engine.add_arrivals(copy)
-        assert engine._order is not None and engine._order_k == 5
         merged = engine.top_k(5)
-        assert searches == []
+        assert len(searches) == 1
         assert slot in merged
         scores = engine.scores()
         np.testing.assert_allclose(scores[merged], np.sort(scores)[::-1][:5])
