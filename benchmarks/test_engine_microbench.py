@@ -130,8 +130,9 @@ def test_bench_monitor_overhead(micro_world, micro_model, save_report):
     by the baseline of the same round, so load that drifts across a run
     cancels out of the ratio.  The gate is the median ratio over rounds
     (reported with a bootstrap 95% CI), which must stay under the shared
-    1.05 budget for each armed layer.  The measured numbers land in
-    ``benchmarks/results/monitor_overhead.txt``.
+    1.05 budget for each armed layer.  Each default-preset run rewrites
+    all of ``benchmarks/results/monitor_overhead.txt``: the file is fully
+    generated, so notes about past runs belong in docs/performance.md.
     """
     import gc
     import time as _time

@@ -9,9 +9,8 @@ Sub-commands
 ``effects``
     Run the interprocedural effect & aliasing analyzer
     (``EFF001``–``EFF008``) over ``src/repro``, apply the
-    reason-mandatory baseline, and check the generated reports for
-    drift.  ``--write-reports`` regenerates
-    ``docs/thread_hostility.md`` and ``docs/metrics_manifest.md``.
+    reason-mandatory baseline, and check the generated report for
+    drift.  ``--write-reports`` regenerates ``docs/metrics_manifest.md``.
 ``check-model [names...]``
     Run the static graph checker over registry models (default: all)
     against a structurally complete demo schema, optionally under both
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     effects.add_argument(
         "--write-reports",
         action="store_true",
-        help="regenerate docs/thread_hostility.md and docs/metrics_manifest.md",
+        help="regenerate docs/metrics_manifest.md",
     )
     effects.add_argument(
         "--format", default="text", choices=["text", "json", "github"]

@@ -5,12 +5,12 @@ The pipeline (see the stage modules for the details):
 1. :mod:`~repro.analysis.effects.harvest` — per-function local facts;
 2. :mod:`~repro.analysis.effects.callgraph` — call resolution;
 3. :mod:`~repro.analysis.effects.propagate` — fixpoint signatures;
-4. :mod:`~repro.analysis.effects.rules` — ``EFF001``–``EFF005`` packs;
+4. :mod:`~repro.analysis.effects.rules` — ``EFF001``–``EFF005`` packs
+   (``EFF003`` is retired; the module docstring says why);
 5. :mod:`~repro.analysis.effects.manifest` — instrument-name inventory
-   (``EFF006``/``EFF007``);
+   (``EFF006``/``EFF007``) and its committed report;
 6. :mod:`~repro.analysis.effects.baseline` — reason-mandatory accepted
-   findings (``EFF000`` on drift);
-7. :mod:`~repro.analysis.effects.report` — the thread-hostility report.
+   findings (``EFF000`` on drift).
 
 :func:`run_effects` is the single entry point the CLI, CI gate and
 tests share.  It returns an :class:`EffectsResult` whose
@@ -34,7 +34,6 @@ from repro.analysis.effects.manifest import (
 )
 from repro.analysis.effects.model import EffectAnalysis
 from repro.analysis.effects.propagate import analyze
-from repro.analysis.effects.report import render_thread_hostility
 from repro.analysis.effects.rules import run_rules
 
 __all__ = [
@@ -49,9 +48,8 @@ __all__ = [
 
 # Repo-relative defaults shared by the CLI, CI and tests.
 DEFAULT_BASELINE = "effects_baseline.json"
-HOSTILITY_REPORT = "docs/thread_hostility.md"
 MANIFEST_REPORT = "docs/metrics_manifest.md"
-REPORT_PATHS = (HOSTILITY_REPORT, MANIFEST_REPORT)
+REPORT_PATHS = (MANIFEST_REPORT,)
 OBSERVABILITY_DOC = "docs/observability.md"
 
 
@@ -132,10 +130,7 @@ def run_effects(
     )
     kept, suppressed = apply_baseline(findings, baseline)
 
-    reports = {
-        HOSTILITY_REPORT: render_thread_hostility(analysis),
-        MANIFEST_REPORT: render_manifest(manifest),
-    }
+    reports = {MANIFEST_REPORT: render_manifest(manifest)}
     if write_reports:
         for relpath, content in reports.items():
             target = repo_root / relpath

@@ -30,8 +30,6 @@ from repro.analysis.diagnostics import ERROR, Diagnostic
 
 __all__ = ["BaselineEntry", "Baseline", "apply_baseline"]
 
-BASELINE_VERSION = 1
-
 # Key fields a diagnostic must expose (via ``details``) to be
 # baseline-addressable.
 Key = Tuple[str, str, str]
@@ -86,31 +84,6 @@ class Baseline:
                 )
             entries[entry.key] = entry
         return Baseline(entries=entries)
-
-    def merge(self, other: "Baseline") -> "Baseline":
-        """Union of two baselines; conflicting keys keep ``self``'s reason."""
-        merged = dict(other.entries)
-        merged.update(self.entries)
-        return Baseline(entries=merged)
-
-    def to_json(self) -> str:
-        ordered = sorted(self.entries.values(), key=lambda e: e.key)
-        payload = {
-            "version": BASELINE_VERSION,
-            "entries": [
-                {
-                    "code": e.code,
-                    "symbol": e.symbol,
-                    "detail": e.detail,
-                    "reason": e.reason,
-                }
-                for e in ordered
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def save(self, path: Path) -> None:
-        path.write_text(self.to_json(), encoding="utf-8")
 
 
 def _diagnostic_key(diagnostic: Diagnostic) -> Key:

@@ -3,9 +3,9 @@
 One pass over every module under a source root produces
 :class:`~repro.analysis.effects.model.ModuleInfo` records whose
 functions carry *intraprocedural* facts only — parameter writes, global
-and ambient state access, RNG usage, float64 literals, returned views,
-and symbolic call sites.  Nothing here follows a call; composition is
-the propagation stage's job.
+state access, float64 literals, returned views, and symbolic call
+sites.  Nothing here follows a call; composition is the propagation
+stage's job.
 
 The harvester is deliberately a *may*-analysis: an ``x[i] = v`` or
 ``x += v`` on a name is treated as an in-place write of whatever object
@@ -62,41 +62,6 @@ _MUTATOR_METHODS = frozenset(
 # Attribute accesses that preserve view-ness on ndarrays.
 _VIEW_ATTRS = frozenset({"T", "data", "real", "imag", "flat"})
 
-# numpy legacy global-RNG entry points (module-level ``np.random.*``
-# functions that mutate the process-wide RandomState).
-_LEGACY_NP_RANDOM = frozenset(
-    {
-        "seed",
-        "rand",
-        "randn",
-        "randint",
-        "random",
-        "random_sample",
-        "ranf",
-        "sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
-        "poisson",
-        "binomial",
-        "beta",
-        "gamma",
-        "exponential",
-        "geometric",
-        "multinomial",
-        "get_state",
-        "set_state",
-    }
-)
-
-# The ambient telemetry slot's accessor and global: either is a handle
-# whose fields (``registry``, ``monitor``, ``slo``...) are ambient channels.
-_SLOT_ACCESSOR = "current_telemetry"
-_SLOT_GLOBAL = "_ACTIVE_TELEMETRY"
-
 # Suppression codes that mute a float64 literal as an EFF005 taint
 # source (a reasoned ATN002 suppression documents the promotion).
 _FLOAT64_SUPPRESSORS = ("ATN002", "EFF005")
@@ -110,48 +75,12 @@ def module_name_for(relpath: str) -> str:
     return ".".join(parts)
 
 
-def _names_slot(node: ast.AST, imports: Dict[str, str]) -> bool:
-    """``current_telemetry()`` or the slot global itself."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        node, leaf = node.func, _SLOT_ACCESSOR
-    elif isinstance(node, ast.Name):
-        leaf = _SLOT_GLOBAL
-    else:
-        return False
-    return imports.get(node.id, node.id).rsplit(".", 1)[-1] == leaf
-
-
 def _self_attr(node: ast.AST) -> Optional[str]:
     """``attr`` when ``node`` is ``self.<attr>``, else None."""
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _slot_attrs(cls: ast.ClassDef, imports: Dict[str, str]) -> Set[str]:
-    """The ``self.<attr>`` names any method of ``cls`` binds to the slot."""
-    return {
-        _self_attr(target)
-        for node in ast.walk(cls)
-        if isinstance(node, ast.Assign) and _names_slot(node.value, imports)
-        for target in node.targets
-    } - {None}
-
-
-def _is_np_random(node: ast.AST) -> Optional[str]:
-    """``np.random.<fn>`` / ``numpy.random.<fn>`` -> fn name, else None."""
-    if not isinstance(node, ast.Attribute):
-        return None
-    inner = node.value
-    if (
-        isinstance(inner, ast.Attribute)
-        and inner.attr == "random"
-        and isinstance(inner.value, ast.Name)
-        and inner.value.id in ("np", "numpy")
     ):
         return node.attr
     return None
@@ -209,21 +138,17 @@ class _FunctionHarvester:
         module_globals: Set[str],
         imports: Dict[str, str],
         suppressed_float64: Set[int],
-        slot_attrs: Set[str],
     ) -> None:
         self.info = info
         self.node = node
         self.module_globals = module_globals
         self.imports = imports
         self.suppressed_float64 = suppressed_float64
-        self.slot_attrs = slot_attrs
         self.locals: Set[str] = set(info.params) | _assigned_names(node)
         self.declared_globals: Set[str] = set()
         # Aliasing state, updated in statement order.
         self.param_aliases: Dict[str, str] = {p: p for p in info.params}
         self.view_locals: Dict[str, Tuple[str, str]] = {}
-        self.handle_locals: Dict[str, str] = {}  # local -> ambient channel
-        self.slot_locals: Set[str] = set()  # locals bound to the slot
         self.call_results: Dict[str, int] = {}  # local -> call_sites index
         # Closures seen so far: name -> (def line, captured names).
         self.closures: Dict[str, Tuple[int, Set[str]]] = {}
@@ -268,20 +193,6 @@ class _FunctionHarvester:
                 )
 
     # -- expression classification -------------------------------------
-    def _is_slot(self, node: ast.AST) -> bool:
-        """The slot, or a local or ``self.<attr>`` bound to it."""
-        if isinstance(node, ast.Name) and node.id in self.slot_locals:
-            return True
-        if isinstance(node, ast.Attribute):
-            return _self_attr(node) in self.slot_attrs
-        return _names_slot(node, self.imports)
-
-    def _slot_field(self, node: ast.AST) -> Optional[str]:
-        """The channel ``node`` denotes when it is ``<slot>.<field>``."""
-        if isinstance(node, ast.Attribute) and self._is_slot(node.value):
-            return node.attr
-        return None
-
     def _arg_ref(self, node: ast.AST) -> ArgRef:
         if isinstance(node, ast.Name):
             if node.id in self.param_aliases:
@@ -330,62 +241,17 @@ class _FunctionHarvester:
         is_with_item: bool = False,
     ) -> Optional[int]:
         """Record one call site; returns its index (None if opaque)."""
-        fn = _is_np_random(node.func)
-        if fn is not None and fn in _LEGACY_NP_RANDOM:
-            if fn != "default_rng":
-                self.info.rng_global.setdefault(
-                    f"np.random.{fn}", node.lineno
-                )
-            return None
-
         ref = self._call_ref(node.func)
-        line = node.lineno
-
-        # Ambient channels: the telemetry slot's fields and
-        # get_active_*/set_active_* by local name or import target, plus
-        # method calls on handles obtained either way.
-        if isinstance(node.func, ast.Attribute):
-            channel = self._slot_field(node.func.value)
-            if channel is not None:
-                self.info.ambient_writes.setdefault(
-                    f"{channel}.{node.func.attr}", line
-                )
-                return None
-        if ref is not None and ref[0] == "name":
-            name = ref[1]
-            target = self.imports.get(name, name)
-            leaf = target.rsplit(".", 1)[-1]
-            if leaf == _SLOT_ACCESSOR:
-                return None
-            if leaf.startswith("get_active_"):
-                channel = leaf[len("get_active_"):]
-                self.info.ambient_reads.setdefault(channel, line)
-                if result_local is not None:
-                    self.handle_locals[result_local] = channel
-                return None
-            if leaf.startswith("set_active_"):
-                self.info.ambient_writes.setdefault(
-                    leaf[len("set_active_"):], line
-                )
-                return None
-        if ref is not None and ref[0] == "obj":
-            _, base, method = ref
-            if base in self.handle_locals:
-                channel = self.handle_locals[base]
-                self.info.ambient_writes.setdefault(
-                    f"{channel}.{method}", line
-                )
-                return None
-            if method in _MUTATOR_METHODS:
-                self._note_name_mutation(base, line)
-        if ref is not None and ref[0] == "self_attr":
-            # self.attr.mutator(...) is an attr write, not a call edge we
-            # lose: the edge is recorded below via the resolver.
-            if ref[2] in _MUTATOR_METHODS:
-                self.info.attr_writes.add(ref[1])
-
         if ref is None:
             return None
+        line = node.lineno
+        if ref[0] == "obj" and ref[2] in _MUTATOR_METHODS:
+            self._note_name_mutation(ref[1], line)
+        elif ref[0] == "self_attr" and ref[2] in _MUTATOR_METHODS:
+            # self.attr.mutator(...) is an attr write, not a call edge we
+            # lose: the edge is recorded below via the resolver.
+            self.info.attr_writes.add(ref[1])
+
         args = tuple(self._arg_ref(arg) for arg in node.args)
         kwargs = tuple(
             (kw.arg, self._arg_ref(kw.value))
@@ -487,16 +353,8 @@ class _FunctionHarvester:
             # Rebinding kills previous alias classifications.
             self.param_aliases.pop(name, None)
             self.view_locals.pop(name, None)
-            self.handle_locals.pop(name, None)
-            self.slot_locals.discard(name)
             self.call_results.pop(name, None)
-            channel = self._slot_field(value)
-            if channel is not None:
-                self.info.ambient_reads.setdefault(channel, line)
-                self.handle_locals[name] = channel
-            elif self._is_slot(value):
-                self.slot_locals.add(name)
-            elif isinstance(value, ast.Name) and value.id in self.param_aliases:
+            if isinstance(value, ast.Name) and value.id in self.param_aliases:
                 self.param_aliases[name] = self.param_aliases[value.id]
             else:
                 source = self._view_source(value)
@@ -641,7 +499,6 @@ def _harvest_function(
     qualname: str,
     class_name: Optional[str],
     suppressed_float64: Set[int],
-    slot_attrs: Set[str],
 ) -> FunctionInfo:
     params: List[str] = []
     annotations: Dict[str, str] = {}
@@ -670,8 +527,7 @@ def _harvest_function(
         ),
     )
     harvester = _FunctionHarvester(
-        info, node, module.data_globals, module.imports, suppressed_float64,
-        slot_attrs,
+        info, node, module.data_globals, module.imports, suppressed_float64
     )
     harvester.run()
     return info
@@ -718,7 +574,7 @@ def harvest_tree(
         if isinstance(node, ast.FunctionDef):
             qualname = f"{name}.{node.name}"
             module.functions[node.name] = _harvest_function(
-                node, module, qualname, None, suppressed, set()
+                node, module, qualname, None, suppressed
             )
         elif isinstance(node, ast.ClassDef):
             cls = ClassInfo(
@@ -731,13 +587,11 @@ def harvest_tree(
                     if not isinstance(base, ast.Subscript)
                 ],
             )
-            slot_attrs = _slot_attrs(node, module.imports)
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
                     qualname = f"{name}.{node.name}.{member.name}"
                     info = _harvest_function(
-                        member, module, qualname, node.name, suppressed,
-                        slot_attrs,
+                        member, module, qualname, node.name, suppressed
                     )
                     cls.methods[member.name] = info
                     for attr, hint in info.attr_type_hints.items():

@@ -5,11 +5,9 @@ The analyzer (see :mod:`repro.analysis.effects`) works in three stages:
 1. **Harvest** (:mod:`repro.analysis.effects.harvest`) parses every
    module under a source root and extracts *local* facts per function —
    which parameters it writes in place, which module-level globals it
-   reads or writes, which ambient channels it touches (fields of the
-   ``current_telemetry()`` slot, ``get_active_*`` handles),
-   whether it returns a view of a parameter or attribute, whether it
-   uses numpy's process-global RNG, and every call site with its
-   argument bindings.
+   reads or writes, whether it returns a view of a parameter or
+   attribute, where it names a float64 literal, and every call site
+   with its argument bindings.
 2. **Resolution** (:mod:`repro.analysis.effects.callgraph`) turns the
    symbolic call references into function qualnames using the module
    import tables, ``self.attr`` type inference, parameter / return
@@ -101,15 +99,8 @@ class FunctionInfo:
     attr_type_hints: Dict[str, str] = field(default_factory=dict)
     # Fully qualified module-global name -> first write line.
     global_writes: Dict[str, int] = field(default_factory=dict)
-    # Fully qualified module-global names read (mutable state only; the
-    # propagation stage intersects against the repo-wide written set).
+    # Fully qualified module-global name -> first read line.
     global_reads: Dict[str, int] = field(default_factory=dict)
-    # Ambient channel (e.g. "registry") -> first read line.
-    ambient_reads: Dict[str, int] = field(default_factory=dict)
-    # Ambient channel -> first line writing through the handle/stack.
-    ambient_writes: Dict[str, int] = field(default_factory=dict)
-    # Lines calling numpy's process-global RNG (np.random.rand, ...).
-    rng_global: Dict[str, int] = field(default_factory=dict)
     # Lines with an (unsuppressed) np.float64 literal.
     float64_sites: List[int] = field(default_factory=list)
     # What ``return`` statements may alias.
@@ -166,44 +157,25 @@ class ModuleInfo:
 class EffectSignature:
     """Transitive effect summary of one function after propagation.
 
-    Every dict maps a channel to the qualname of the function whose
-    *local* fact introduced it, so diagnostics can name the origin even
-    when the effect arrived through a call chain.
+    ``float64_taint`` names the function whose *local* literal
+    introduced the taint, so diagnostics can name the origin even when
+    it arrived through a call chain.
     """
 
     mutated_params: Set[str] = field(default_factory=set)
-    global_writes: Dict[str, str] = field(default_factory=dict)
-    global_reads: Dict[str, str] = field(default_factory=dict)
-    ambient_reads: Dict[str, str] = field(default_factory=dict)
-    ambient_writes: Dict[str, str] = field(default_factory=dict)
-    rng_global: Dict[str, str] = field(default_factory=dict)
     float64_taint: Optional[str] = None  # origin qualname or None
     returns_views: Set[ViewSource] = field(default_factory=set)
 
-    def merge_channels(self, other: "EffectSignature", origin: str) -> bool:
-        """Fold ``other``'s channel effects in; returns True on change.
+    def merge_channels(self, other: "EffectSignature") -> bool:
+        """Fold ``other``'s dtype taint in; returns True on change.
 
-        Channel effects (globals, ambient, RNG, dtype taint) compose
-        context-insensitively: if a callee touches a channel, so does
-        the caller.  ``origin`` tags effects first introduced by the
-        callee itself.
+        The taint composes context-insensitively: if a callee promotes
+        to float64, so does the caller.
         """
-        changed = False
-        for mine, theirs in (
-            (self.global_writes, other.global_writes),
-            (self.global_reads, other.global_reads),
-            (self.ambient_reads, other.ambient_reads),
-            (self.ambient_writes, other.ambient_writes),
-            (self.rng_global, other.rng_global),
-        ):
-            for channel, via in theirs.items():
-                if channel not in mine:
-                    mine[channel] = via or origin
-                    changed = True
         if self.float64_taint is None and other.float64_taint is not None:
             self.float64_taint = other.float64_taint
-            changed = True
-        return changed
+            return True
+        return False
 
 
 @dataclass
@@ -217,24 +189,3 @@ class EffectAnalysis:
     # (call_sites index, callee qualname).
     calls: Dict[str, List[Tuple[int, str]]]
     signatures: Dict[str, EffectSignature]
-    # Names written by *someone* — the repo-wide mutable-global set.
-    mutable_globals: Set[str] = field(default_factory=set)
-
-    def callees(self, qualname: str) -> List[str]:
-        return sorted({callee for _, callee in self.calls.get(qualname, [])})
-
-    def reachable(self, roots: List[str]) -> Dict[str, Tuple[str, ...]]:
-        """BFS closure from ``roots``: qualname -> example call path."""
-        paths: Dict[str, Tuple[str, ...]] = {}
-        queue: List[str] = []
-        for root in roots:
-            if root in self.functions and root not in paths:
-                paths[root] = (root,)
-                queue.append(root)
-        while queue:
-            current = queue.pop(0)
-            for callee in self.callees(current):
-                if callee not in paths and callee in self.functions:
-                    paths[callee] = paths[current] + (callee,)
-                    queue.append(callee)
-        return paths

@@ -1,10 +1,10 @@
 """Signature propagation: compose local facts through the call graph.
 
-Channel effects (module-global reads/writes, ambient channels of the
-telemetry slot, process-global RNG, float64 taint) propagate
-context-insensitively: a caller inherits every channel its callees
-touch, tagged with the qualname of the function whose *local* fact
-introduced the effect, so diagnostics can always name the origin.
+Float64 taint propagates context-insensitively: a caller inherits it
+from any callee, tagged with the qualname of the function whose *local*
+literal introduced it, so diagnostics can always name the origin.
+Module-global reads and writes are not propagated: ``EFF004`` judges
+each access in the function that makes it.
 
 Parameter-mutation effects propagate with argument binding: when ``g``
 mutates its parameter ``buf`` and ``f`` calls ``g(x)`` with its own
@@ -18,7 +18,7 @@ by the runtime GradSanitizer instead.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.effects.callgraph import CallGraphBuilder
 from repro.analysis.effects.harvest import harvest_module
@@ -30,13 +30,6 @@ from repro.analysis.effects.model import (
 )
 
 __all__ = ["analyze", "propagate"]
-
-# Effects the analyzer cannot see through the AST but knows by contract.
-# ``maybe_span`` hands back a Span that records onto the *ambient*
-# tracer on exit; the harvest sees only the constructor call.
-_STUB_AMBIENT_WRITES: Dict[str, Tuple[str, ...]] = {
-    "repro.obs.tracing.maybe_span": ("tracer.span",),
-}
 
 _MAX_PASSES = 64
 
@@ -71,29 +64,14 @@ def propagate(
     _filter_globals(modules, functions)
     calls = builder.build()
 
-    mutable_globals: Set[str] = set()
-    for info in functions.values():
-        mutable_globals.update(info.global_writes)
-
-    signatures: Dict[str, EffectSignature] = {}
-    for qualname, info in functions.items():
-        signature = EffectSignature(
+    signatures: Dict[str, EffectSignature] = {
+        qualname: EffectSignature(
             mutated_params=set(info.mutated_params),
-            global_writes={ch: qualname for ch in info.global_writes},
-            global_reads={
-                ch: qualname
-                for ch in info.global_reads
-                if ch in mutable_globals
-            },
-            ambient_reads={ch: qualname for ch in info.ambient_reads},
-            ambient_writes={ch: qualname for ch in info.ambient_writes},
-            rng_global={ch: qualname for ch in info.rng_global},
             float64_taint=qualname if info.float64_sites else None,
             returns_views=set(info.returns_views),
         )
-        for channel in _STUB_AMBIENT_WRITES.get(qualname, ()):
-            signature.ambient_writes.setdefault(channel, qualname)
-        signatures[qualname] = signature
+        for qualname, info in functions.items()
+    }
 
     for _ in range(_MAX_PASSES):
         changed = False
@@ -103,7 +81,7 @@ def propagate(
                 callee_sig = signatures.get(callee)
                 if callee_sig is None:
                     continue
-                if signature.merge_channels(callee_sig, callee):
+                if signature.merge_channels(callee_sig):
                     changed = True
                 # Parameter-mutation binding through direct forwarding.
                 if callee_sig.mutated_params:
@@ -132,7 +110,6 @@ def propagate(
         classes=builder.classes,
         calls=calls,
         signatures=signatures,
-        mutable_globals=mutable_globals,
     )
 
 

@@ -11,11 +11,11 @@ check themselves:
     A local captured by a ``backward`` closure is written — directly or
     by a parameter-mutating callee — after the closure is defined.  This
     is the static complement to the runtime GradSanitizer.
-``EFF003`` thread-hostility
-    A module-global or ambient write is reachable from a
-    ``RealTimeEngine`` serving entry point.  Every finding is state that
-    concurrent engines in one process would share, unless the baseline
-    accepts it; the full set renders as ``docs/thread_hostility.md``.
+``EFF003`` (retired)
+    Was thread-hostility: any global or ambient write reachable from a
+    ``RealTimeEngine`` entry point.  The engine runs in one process and
+    one thread, so every finding was accepted and none guarded anything;
+    the code stays unused so the later codes keep their numbers.
 ``EFF004`` ambient-discipline
     An ``_ACTIVE_*`` module global (the telemetry slot) may only be
     written by its module's own scoping constructs (``use_*`` /
@@ -30,21 +30,12 @@ check themselves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import ERROR, Diagnostic
 from repro.analysis.effects.model import EffectAnalysis, FunctionInfo
 
-__all__ = [
-    "ENGINE_CLASS",
-    "HostileChannel",
-    "engine_entry_points",
-    "thread_hostility_channels",
-    "run_rules",
-]
-
-ENGINE_CLASS = "repro.serving.engine.RealTimeEngine"
+__all__ = ["run_rules"]
 
 # ATN002's scope and exemption, reused so the interprocedural extension
 # agrees with the per-file rule about where dtype discipline applies.
@@ -175,107 +166,6 @@ def _binds_mutated_param(
 
 
 # ----------------------------------------------------------------------
-# EFF003 — thread-hostility
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class HostileChannel:
-    """One global/ambient write reachable from serving entry points."""
-
-    kind: str  # "global-write" | "ambient-write" | "global-rng"
-    channel: str  # fully qualified global name or ambient channel
-    origin: str  # qualname of the function whose local fact introduced it
-    line: int  # line of the write inside the origin function
-    entries: Tuple[str, ...]  # entry-point method names that reach it
-    path: Tuple[str, ...]  # example call path entry -> origin
-
-
-def engine_entry_points(analysis: EffectAnalysis) -> List[str]:
-    """Public ``RealTimeEngine`` methods, as qualnames."""
-    cls = analysis.classes.get(ENGINE_CLASS)
-    if cls is None:
-        return []
-    return [
-        info.qualname
-        for name, info in sorted(cls.methods.items())
-        if not name.startswith("_")
-    ]
-
-
-def _origin_line(info: FunctionInfo, kind: str, channel: str) -> int:
-    if kind == "global-write":
-        return info.global_writes.get(channel, info.lineno)
-    if kind == "ambient-write":
-        return info.ambient_writes.get(channel, info.lineno)
-    return info.rng_global.get(channel, info.lineno)
-
-
-def thread_hostility_channels(
-    analysis: EffectAnalysis,
-) -> List[HostileChannel]:
-    """Every (channel, origin) pair reachable from engine entry points."""
-    entries = engine_entry_points(analysis)
-    found: Dict[Tuple[str, str, str], Dict] = {}
-    for entry in entries:
-        signature = analysis.signatures.get(entry)
-        if signature is None:
-            continue
-        paths = analysis.reachable([entry])
-        tables = (
-            ("global-write", signature.global_writes),
-            ("ambient-write", signature.ambient_writes),
-            ("global-rng", signature.rng_global),
-        )
-        entry_method = entry.rsplit(".", 1)[-1]
-        for kind, table in tables:
-            for channel, origin in table.items():
-                key = (kind, channel, origin)
-                record = found.setdefault(
-                    key, {"entries": [], "path": paths.get(origin, (entry,))}
-                )
-                record["entries"].append(entry_method)
-    out: List[HostileChannel] = []
-    for (kind, channel, origin), record in sorted(found.items()):
-        info = analysis.functions[origin]
-        out.append(
-            HostileChannel(
-                kind=kind,
-                channel=channel,
-                origin=origin,
-                line=_origin_line(info, kind, channel),
-                entries=tuple(sorted(set(record["entries"]))),
-                path=tuple(record["path"]),
-            )
-        )
-    return out
-
-
-def _thread_hostility(analysis: EffectAnalysis) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    for hostile in thread_hostility_channels(analysis):
-        info = analysis.functions[hostile.origin]
-        noun = {
-            "global-write": "module global",
-            "ambient-write": "ambient channel",
-            "global-rng": "process-global RNG",
-        }[hostile.kind]
-        out.append(
-            Diagnostic.make(
-                "EFF003",
-                ERROR,
-                f"write to {noun} '{hostile.channel}' is reachable from "
-                f"RealTimeEngine.{'/'.join(hostile.entries)}; engines "
-                "cannot run concurrently until this is per-engine or "
-                "accepted in the baseline",
-                location=f"{info.relpath}:{hostile.line}",
-                symbol=hostile.origin,
-                channel=hostile.channel,
-                entries=",".join(hostile.entries),
-            )
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
 # EFF004 — ambient-context discipline
 # ----------------------------------------------------------------------
 _SCOPE_METHOD_NAMES = ("__enter__", "__exit__")
@@ -372,7 +262,6 @@ def run_rules(analysis: EffectAnalysis) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     out.extend(_view_escape(analysis))
     out.extend(_saved_buffer(analysis))
-    out.extend(_thread_hostility(analysis))
     out.extend(_ambient_discipline(analysis))
     out.extend(_dtype_promotion(analysis))
     return out
